@@ -18,6 +18,7 @@ from .digraph import (
 )
 from .family import (
     SetFamily,
+    addable_sets,
     blow_up,
     complement_family,
     contains_induced_copy,

@@ -19,7 +19,7 @@ from .errors import (
     NotPerfectSquare,
     RequiredNotMember,
 )
-from .poset import EmbeddingWitness, Poset
+from .poset import EmbeddingWitness, Poset, induced_embeddings
 
 MAX_GROUND = 64
 
@@ -87,13 +87,8 @@ class SetFamily:
 def inclusion_poset(F: SetFamily) -> tuple[Poset, tuple[int, ...]]:
     """Abstract poset of the family under proper inclusion, plus the
     element-index -> member-mask map."""
-    k = len(F.members)
-    up = [0] * k
-    for a, b in itertools.permutations(range(k), 2):
-        ma, mb = F.members[a], F.members[b]
-        if ma != mb and ma & ~mb == 0:
-            up[a] |= 1 << b
-    return Poset(k, tuple(up)), F.members
+    rows = InclusionRows(F.members)
+    return Poset(len(F.members), tuple(rows.up)), F.members
 
 
 def complement_family(F: SetFamily) -> SetFamily:
@@ -116,18 +111,53 @@ def blow_up(F: SetFamily, i: int) -> SetFamily:
 
 # -- induced copies ----------------------------------------------------------
 
-def _member_relations(members: tuple[int, ...]):
-    """For each member index, bitmasks (over indices) of its proper supersets
-    and proper subsets within the family."""
-    k = len(members)
-    up = [0] * k
-    down = [0] * k
-    for a in range(k):
-        for b in range(k):
-            if a != b and members[a] & ~members[b] == 0 and members[a] != members[b]:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    return up, down
+class InclusionRows:
+    """Proper-inclusion rows of a list of distinct member masks, updated in
+    O(k) per push and pop: ``up[j]`` / ``down[j]`` have bit i set iff member
+    i is a proper superset / subset of member j."""
+
+    def __init__(self, members=()):
+        self.members, self.up, self.down = [], [], []
+        for m in members:
+            self.push(m)
+
+    def push(self, m: int) -> None:
+        bit = 1 << len(self.members)
+        up, down = self.up, self.down
+        above = below = 0
+        for i, x in enumerate(self.members):
+            if m & ~x == 0:
+                above |= 1 << i
+                down[i] |= bit
+            elif x & ~m == 0:
+                below |= 1 << i
+                up[i] |= bit
+        self.members.append(m)
+        up.append(above)
+        down.append(below)
+
+    def pop(self) -> int:
+        """Remove the last pushed member and return it."""
+        bit = 1 << (len(self.members) - 1)
+        for rows, related in ((self.down, self.up.pop()), (self.up, self.down.pop())):
+            while related:
+                low = related & -related
+                rows[low.bit_length() - 1] ^= bit
+                related ^= low
+        return self.members.pop()
+
+    def completes_copy(self, forbidden) -> bool:
+        """True iff the last pushed member lies in an induced copy of some
+        forbidden poset."""
+        last = len(self.members) - 1
+        return any(next(induced_embeddings(P, self.up, self.down, last), None) for P in forbidden)
+
+    def blocks(self, m: int, forbidden) -> bool:
+        """True iff adding m would put it in an induced forbidden copy."""
+        self.push(m)
+        blocked = self.completes_copy(forbidden)
+        self.pop()
+        return blocked
 
 
 def iter_induced_embeddings(members: tuple[int, ...], P: Poset, pinned: int | None = None):
@@ -137,63 +167,8 @@ def iter_induced_embeddings(members: tuple[int, ...], P: Poset, pinned: int | No
     If ``pinned`` (a member index) is given, only embeddings whose image
     contains it are produced.
     """
-    k = len(members)
-    if P.size > k:
-        return
-    up_m, down_m = _member_relations(members)
-    p_down = P.down_masks()
-    sig_p = []
-    for a in range(P.size):
-        u = P.up[a].bit_count()
-        d = p_down[a].bit_count()
-        sig_p.append((u, d, P.size - 1 - u - d))
-    sig_m = []
-    for j in range(k):
-        u = up_m[j].bit_count()
-        d = down_m[j].bit_count()
-        sig_m.append((u, d, k - 1 - u - d))
-    order = sorted(range(P.size), key=lambda a: -(sig_p[a][0] + sig_p[a][1]))
-    candidates = [
-        [j for j in range(k) if all(sig_m[j][t] >= sig_p[a][t] for t in range(3))]
-        for a in range(P.size)
-    ]
-    mapping = [-1] * P.size
-    used = [False] * k
-
-    def consistent(a: int, j: int, upto: int) -> bool:
-        for t in range(upto):
-            b = order[t]
-            jb = mapping[b]
-            a_below_b = bool(P.up[a] >> b & 1)
-            b_below_a = bool(P.up[b] >> a & 1)
-            if a_below_b != bool(up_m[j] >> jb & 1):
-                return False
-            if b_below_a != bool(up_m[jb] >> j & 1):
-                return False
-        return True
-
-    def extend(pos: int):
-        if pos == P.size:
-            if pinned is None or pinned in mapping:
-                yield EmbeddingWitness(tuple(mapping))
-            return
-        a = order[pos]
-        # Once only one slot remains, the pinned member must be used now.
-        must_pin = pinned is not None and pos == P.size - 1 and pinned not in mapping
-        cands = [pinned] if must_pin and pinned in candidates[a] else candidates[a]
-        if must_pin and pinned not in candidates[a]:
-            return
-        for j in cands:
-            if used[j]:
-                continue
-            if consistent(a, j, pos):
-                mapping[a] = j
-                used[j] = True
-                yield from extend(pos + 1)
-                used[j] = False
-                mapping[a] = -1
-
-    yield from extend(0)
+    rows = InclusionRows(members)
+    yield from induced_embeddings(P, rows.up, rows.down, pinned)
 
 
 def contains_induced_copy(F: SetFamily, P: Poset, required: int | None = None) -> EmbeddingWitness | None:
@@ -207,9 +182,29 @@ def contains_induced_copy(F: SetFamily, P: Poset, required: int | None = None) -
             pinned = F.members.index(required)
         except ValueError:
             raise RequiredNotMember(f"required set {sorted(elems_of(required))} not in family")
-    for w in iter_induced_embeddings(F.members, P, pinned):
-        return w
-    return None
+    return next(iter_induced_embeddings(F.members, P, pinned), None)
+
+
+def check_forbidden(forbidden) -> tuple[Poset, ...]:
+    """The forbidden posets as a tuple; rejects an empty list and posets
+    with fewer than 2 elements (freeness would force the empty family and
+    the notion degenerates)."""
+    forbidden = tuple(forbidden)
+    if not forbidden:
+        raise BadParam("forbidden poset list must be non-empty")
+    for P in forbidden:
+        if P.size < 2:
+            raise BadParam("forbidden posets must have at least 2 elements")
+    return forbidden
+
+
+def addable_sets(F: SetFamily, forbidden):
+    """Yield, ascending, every missing mask S such that F + S has no induced
+    copy of a forbidden poset that uses S.  When F is free these are exactly
+    the sets that can be added to F freely."""
+    forbidden = check_forbidden(forbidden)
+    rows = InclusionRows(F.members)
+    yield from (s for s in F.missing() if not rows.blocks(s, forbidden))
 
 
 @dataclass(frozen=True)
@@ -227,28 +222,17 @@ class SaturationReport:
 
 def is_induced_saturated(F: SetFamily, forbidden: list[Poset]) -> SaturationReport:
     """True iff F is free of every forbidden poset and no set can be added
-    without creating a copy of one of them.
-
-    One-element (or empty) forbidden posets are rejected: freeness would force
-    the empty family and the notion degenerates.
+    without creating a copy of one of them (see ``check_forbidden`` for the
+    posets accepted).
     """
-    if not forbidden:
-        raise BadParam("forbidden poset list must be non-empty")
-    for P in forbidden:
-        if P.size < 2:
-            raise BadParam("forbidden posets must have at least 2 elements")
+    forbidden = check_forbidden(forbidden)
     for idx, P in enumerate(forbidden):
         w = contains_induced_copy(F, P)
         if w is not None:
             return SaturationReport(False, forbidden_copy=(idx, w.mapping))
-    # F is free, so any copy in F + S must use S: pin the search on S.
-    for s in F.missing():
-        extended = SetFamily.of(F.n, F.members + (s,))
-        if not any(
-            contains_induced_copy(extended, P, required=s) is not None for P in forbidden
-        ):
-            return SaturationReport(False, addable=s)
-    return SaturationReport(True)
+    # F is free, so any copy in F + S must use S: the pinned sweep decides.
+    s = next(addable_sets(F, forbidden), None)
+    return SaturationReport(s is None, addable=s)
 
 
 # -- explicit constructions --------------------------------------------------

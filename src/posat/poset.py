@@ -7,6 +7,7 @@ formats and the CLI speak 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -241,59 +242,103 @@ def has_legs(P: Poset) -> LegsWitness | None:
     return None
 
 
-# -- induced embedding between abstract posets -------------------------------
+# -- induced embedding: the one matcher -------------------------------------
 
-def _degree_signature(P: Poset) -> list[tuple[int, int, int]]:
-    down = P.down_masks()
-    sig = []
-    for a in range(P.size):
-        u = P.up[a].bit_count()
-        d = down[a].bit_count()
-        sig.append((u, d, P.size - 1 - u - d))
-    return sig
+@functools.lru_cache(maxsize=1024)
+def _plan(up: tuple[int, ...], first: int | None):
+    """For the poset with relation rows ``up``: its elements in placement
+    order (``first``, if given, then most relations to the elements already
+    placed, then most relations, then lowest index), and per step the
+    earlier steps the element lies below, lies above and is incomparable
+    to, plus its up- and down-degree."""
+    p = len(up)
+    down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
+    rel = [up[a] | down[a] for a in range(p)]
+    order = [] if first is None else [first]
+    placed = sum(1 << a for a in order)
+    while len(order) < p:
+        a = max((b for b in range(p) if not placed >> b & 1),
+                key=lambda b: ((rel[b] & placed).bit_count(), rel[b].bit_count(), -b))
+        order.append(a)
+        placed |= 1 << a
+    steps = []
+    for t, a in enumerate(order):
+        below = tuple(s for s in range(t) if up[a] >> order[s] & 1)
+        above = tuple(s for s in range(t) if down[a] >> order[s] & 1)
+        apart = tuple(s for s in range(t) if not rel[a] >> order[s] & 1)
+        steps.append((below, above, apart, up[a].bit_count(), down[a].bit_count()))
+    return tuple(order), tuple(steps)
+
+
+def induced_embeddings(P: Poset, up, down, pinned: int | None = None):
+    """Yield every induced copy of P, as an EmbeddingWitness, among targets
+    0..k-1 ordered by the rows ``up[j]`` / ``down[j]`` (bit i set iff target
+    i lies strictly above / below target j).  With ``pinned`` only the
+    copies using that target, each once: it is placed first, as each element
+    of P in turn.  The rows must not change while the generator is in use.
+    """
+    k = len(up)
+    if P.size > k:
+        return
+    if pinned is None:
+        yield from _match(_plan(P.up, None), up, down, (1 << k) - 1)
+    else:
+        for a in range(P.size):
+            yield from _match(_plan(P.up, a), up, down, 1 << pinned)
+
+
+def _match(plan, up, down, first: int):
+    """Backtracking over the plan's steps; the candidates of a step are the
+    AND of the rows of the targets already placed, minus the used ones."""
+    order, steps = plan
+    p = len(order)
+    if p == 0:
+        yield EmbeddingWitness(())
+        return
+    full = (1 << len(up)) - 1
+    image = [0] * p
+    cands = [0] * p
+    cands[0] = first
+    used = 0
+    t = 0
+    while True:
+        c = cands[t]
+        if not c:
+            if t == 0:
+                return
+            t -= 1
+            used ^= 1 << image[t]
+            continue
+        low = c & -c
+        cands[t] = c ^ low
+        j = low.bit_length() - 1
+        step = steps[t]
+        if up[j].bit_count() < step[3] or down[j].bit_count() < step[4]:
+            continue
+        image[t] = j
+        if t == p - 1:
+            mapping = [0] * p
+            for s, a in enumerate(order):
+                mapping[a] = image[s]
+            yield EmbeddingWitness(tuple(mapping))
+            continue
+        used |= low
+        t += 1
+        below, above, apart, _, _ = steps[t]
+        c = full & ~used
+        for s in below:
+            c &= down[image[s]]
+        for s in above:
+            c &= up[image[s]]
+        for s in apart:
+            c &= ~(up[image[s]] | down[image[s]])
+        cands[t] = c
 
 
 def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
     """An injective map from P into Q preserving and reflecting the strict
-    order, or None.  Backtracking with degree-signature pruning."""
-    if P.size > Q.size:
-        return None
-    sig_p = _degree_signature(P)
-    sig_q = _degree_signature(Q)
-    # Assign most-constrained (most comparable) elements first.
-    order = sorted(range(P.size), key=lambda a: -(sig_p[a][0] + sig_p[a][1]))
-    candidates = [
-        [q for q in range(Q.size) if all(sig_q[q][k] >= sig_p[a][k] for k in range(3))]
-        for a in range(P.size)
-    ]
-    mapping = [-1] * P.size
-    used = [False] * Q.size
-
-    def extend(pos: int) -> bool:
-        if pos == P.size:
-            return True
-        a = order[pos]
-        for q in candidates[a]:
-            if used[q]:
-                continue
-            ok = True
-            for j in range(pos):
-                b = order[j]
-                if P.below(a, b) != Q.below(q, mapping[b]) or P.below(b, a) != Q.below(mapping[b], q):
-                    ok = False
-                    break
-            if ok:
-                mapping[a] = q
-                used[q] = True
-                if extend(pos + 1):
-                    return True
-                used[q] = False
-                mapping[a] = -1
-        return False
-
-    if extend(0):
-        return EmbeddingWitness(tuple(mapping))
-    return None
+    order, or None."""
+    return next(induced_embeddings(P, Q.up, Q.down_masks()), None)
 
 
 def isomorphic(P: Poset, Q: Poset) -> bool:

@@ -11,12 +11,14 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BadParam, HypothesisFails, NoLegs, NotSaturated, StartNotFree
+from .errors import BadParam, NoLegs, NotSaturated, StartNotFree
 from .family import (
+    InclusionRows,
     SetFamily,
     blow_up,
+    check_forbidden,
     contains_induced_copy,
     is_induced_saturated,
     iter_induced_embeddings,
@@ -76,25 +78,6 @@ def _mask_order(n: int, config: SearchConfig) -> list[int]:
     return masks
 
 
-def _check_forbidden(forbidden) -> tuple[Poset, ...]:
-    forbidden = tuple(forbidden)
-    if not forbidden:
-        raise BadParam("forbidden poset list must be non-empty")
-    for P in forbidden:
-        if P.size < 2:
-            raise BadParam("forbidden posets must have at least 2 elements")
-    return forbidden
-
-
-def _free_with(members: list[int], forbidden, new_idx: int) -> bool:
-    """No forbidden copy in the members that uses members[new_idx]."""
-    mt = tuple(members)
-    for P in forbidden:
-        for _ in iter_induced_embeddings(mt, P, pinned=new_idx):
-            return False
-    return True
-
-
 def greedy_saturate(
     n: int,
     forbidden,
@@ -103,28 +86,27 @@ def greedy_saturate(
 ) -> SetFamily:
     """Extend the start family to a maximal induced-free one by scanning the
     missing sets in the configured order and adding whenever possible."""
-    forbidden = _check_forbidden(forbidden)
+    forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     members = sorted(start.members) if start is not None else []
-    mt = tuple(members)
-    for P in forbidden:
-        if contains_induced_copy(SetFamily.of(n, members), P) is not None:
-            raise StartNotFree("start family already contains a forbidden copy")
+    if any(contains_induced_copy(SetFamily.of(n, members), P) for P in forbidden):
+        raise StartNotFree("start family already contains a forbidden copy")
+    rows = InclusionRows(members)
     have = set(members)
     for s in _mask_order(n, config):
         if s in have:
             continue
-        trial = sorted(members + [s])
-        if _free_with(trial, forbidden, trial.index(s)):
-            members = trial
+        if not rows.blocks(s, forbidden):
+            rows.push(s)
             have.add(s)
-    return SetFamily.of(n, members)
+    return SetFamily.of(n, rows.members)
 
 
-def _perm_tables(n: int) -> list[list[int]]:
+def _perm_tables(n: int, deadline: float | None) -> list[list[int]]:
     """For each ground-set permutation, the induced map on masks."""
     tables = []
     for perm in itertools.permutations(range(n)):
+        _check_deadline(deadline)
         table = [0] * (1 << n)
         for m in range(1 << n):
             t = 0
@@ -138,6 +120,11 @@ def _perm_tables(n: int) -> list[list[int]]:
     return tables
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _TimeUp
+
+
 def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> SatStarResult:
     """Smallest maximal induced-free family in 2^[n], by iterative deepening
     on the target size.
@@ -149,7 +136,7 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     On hitting the time limit the result carries the best sound bounds so
     far with ``exact=False``.
     """
-    forbidden = _check_forbidden(forbidden)
+    forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     deadline = None
     if config.time_limit is not None:
@@ -159,13 +146,9 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     upper = len(greedy)
     size_cap = config.size_limit if config.size_limit is not None else upper
 
-    use_sym = config.symmetry_reduction
-    if use_sym is None:
-        use_sym = n >= 4
-    tables = _perm_tables(n) if use_sym else []
-
+    use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
     total = 1 << n
-    found: list[int] | None = None
+    rows = InclusionRows()
 
     def canonical(chosen: tuple[int, ...]) -> bool:
         for table in tables:
@@ -173,48 +156,36 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
                 return False
         return True
 
-    def maximal(chosen: list[int]) -> bool:
-        have = set(chosen)
+    def maximal() -> bool:
+        have = set(rows.members)
         for s in range(total):
-            if s in have:
-                continue
-            trial = sorted(chosen + [s])
-            if _free_with(trial, forbidden, trial.index(s)):
+            _check_deadline(deadline)
+            if s not in have and not rows.blocks(s, forbidden):
                 return False
         return True
 
-    def dfs(chosen: list[int], start: int, k: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise _TimeUp
-        if len(chosen) == k:
-            return maximal(chosen)
-        need = k - len(chosen)
+    def dfs(start: int, k: int) -> bool:
+        _check_deadline(deadline)
+        if len(rows.members) == k:
+            return maximal()
+        need = k - len(rows.members)
         for m in range(start, total - need + 1):
-            chosen.append(m)
-            ok = _free_with(chosen, forbidden, len(chosen) - 1)
-            if ok and tables:
-                ok = canonical(tuple(chosen))
-            if ok and dfs(chosen, m + 1, k):
+            rows.push(m)
+            if not rows.completes_copy(forbidden) and canonical(tuple(rows.members)) and dfs(m + 1, k):
                 return True
-            chosen.pop()
+            rows.pop()
         return False
 
     proven_lower = 1
     try:
+        tables = _perm_tables(n, deadline) if use_sym else []
         for k in range(1, min(upper, size_cap + 1)):
-            chosen: list[int] = []
-            if dfs(chosen, 0, k):
-                found = list(chosen)
-                break
+            if dfs(0, k):
+                fam = SetFamily.of(n, rows.members)
+                return SatStarResult(n, forbidden, k, "exhaustive", k, fam, exact=True)
             proven_lower = k + 1
     except _TimeUp:
-        return SatStarResult(
-            n, forbidden, proven_lower, "exhaustive", upper, greedy, exact=False
-        )
-
-    if found is not None:
-        fam = SetFamily.of(n, found)
-        return SatStarResult(n, forbidden, len(fam), "exhaustive", len(fam), fam, exact=True)
+        return SatStarResult(n, forbidden, proven_lower, "exhaustive", upper, greedy, exact=False)
     if size_cap < upper:
         return SatStarResult(n, forbidden, proven_lower, "exhaustive", upper, greedy, exact=False)
     # nothing smaller than the greedy witness exists
@@ -278,7 +249,7 @@ def boundedness_witness_check(F: SetFamily, forbidden) -> tuple[int, int] | None
     Verifies that F is saturated and that its blow-up at i stays saturated
     over [n+1].  Returns None when every i has a pair.
     """
-    forbidden = _check_forbidden(forbidden)
+    forbidden = check_forbidden(forbidden)
     if not is_induced_saturated(F, list(forbidden)).saturated:
         raise NotSaturated("family is not induced saturated for the given posets")
     for i in range(1, F.n + 1):

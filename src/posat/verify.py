@@ -76,10 +76,7 @@ def _check_xell_upper(n: int, ell: int):
         s for s in range(1 << n)
         if s & low not in (0, low) and s & high not in (0, high)
     }
-    addable = {
-        s for s in F.missing()
-        if fam.contains_induced_copy(fam.SetFamily.of(n, F.members + (s,)), P, required=s) is None
-    }
+    addable = set(fam.addable_sets(F, [P]))
     report = fam.is_induced_saturated(F, [P])
     ok = (
         len(F) == 2 * n + 2 ** (ell + 1) - 2 * ell

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  The library is checked against
+code shared with the library internals.  The one exception is networkx VF2,
+an independent matcher used only in tests.  The library is checked against
 these, never the other way around.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import pytest
 
 from posat import Digraph, Poset
 
@@ -31,6 +34,32 @@ def brute_has_induced_copy(members: tuple[int, ...], P: Poset) -> bool:
         if ok:
             return True
     return False
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """networkx, a test-only dependency: the tests using it skip without it."""
+    return pytest.importorskip("networkx")
+
+
+def vf2_embeddings(nx, size: int, below, P: Poset) -> set[tuple[int, ...]]:
+    """Every induced copy of P among targets 0..size-1 ordered by the
+    ``below`` pairs, from networkx VF2 on the transitive relation digraphs:
+    a node-induced subgraph isomorphic to P's digraph is an induced copy.
+    Each copy is a tuple whose entry a is the target of element a."""
+    G = nx.DiGraph()
+    G.add_nodes_from(range(size))
+    G.add_edges_from(below)
+    H = nx.DiGraph()
+    H.add_nodes_from(range(P.size))
+    H.add_edges_from((a, b) for a in range(P.size) for b in range(P.size) if P.below(a, b))
+    out = set()
+    for iso in nx.algorithms.isomorphism.DiGraphMatcher(G, H).subgraph_isomorphisms_iter():
+        mapping = [0] * P.size
+        for target, a in iso.items():
+            mapping[a] = target
+        out.add(tuple(mapping))
+    return out
 
 
 def brute_sat_star_n3(P: Poset) -> int:

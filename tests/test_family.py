@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from posat import (
     SetFamily,
+    addable_sets,
     blow_up,
     catalog,
     complement_family,
     contains_induced_copy,
+    from_cover_relations,
     inclusion_poset,
     is_induced_saturated,
     unique_pair_family,
@@ -31,9 +33,16 @@ from posat.errors import (
     NotPerfectSquare,
     RequiredNotMember,
 )
-from posat.family import elems_of, full_mask, mask_of, singleton_difference_pairs
+from posat.family import (
+    InclusionRows,
+    elems_of,
+    full_mask,
+    iter_induced_embeddings,
+    mask_of,
+    singleton_difference_pairs,
+)
 
-from conftest import brute_has_induced_copy
+from conftest import brute_has_induced_copy, vf2_embeddings
 
 
 def families(max_n=5, max_members=10):
@@ -44,6 +53,23 @@ def families(max_n=5, max_members=10):
             st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_members),
         )
     )
+
+
+def posets(max_p=5):
+    """Random posets: closures of random covers (a, b) with a < b."""
+    def of_size(p):
+        pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda e: e[0] < e[1])
+        return st.sets(pair, max_size=2 * p).map(lambda covers: from_cover_relations(p, sorted(covers)))
+
+    return st.integers(1, max_p).flatmap(of_size)
+
+
+def proper_subset_pairs(members):
+    return [
+        (a, b)
+        for a, b in itertools.permutations(range(len(members)), 2)
+        if members[a] != members[b] and members[a] & ~members[b] == 0
+    ]
 
 
 # -- masks and the dataclass --------------------------------------------------
@@ -124,6 +150,43 @@ def test_contains_copy_matches_bruteforce(F, name):
             assert P.below(a, b) == (ma != mb and ma & ~mb == 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(families(max_n=4, max_members=8), posets())
+def test_embeddings_match_vf2(nx, F, P):
+    # every copy exactly once, and the same copies VF2 finds
+    got = [w.mapping for w in iter_induced_embeddings(F.members, P)]
+    assert len(got) == len(set(got))
+    assert set(got) == vf2_embeddings(nx, len(F), proper_subset_pairs(F.members), P)
+    assert (contains_induced_copy(F, P) is not None) == bool(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=4, max_members=8), posets(4))
+def test_pinned_embeddings_are_the_unpinned_ones_using_the_pin(F, P):
+    unpinned = [w.mapping for w in iter_induced_embeddings(F.members, P)]
+    for j in range(len(F)):
+        pinned = [w.mapping for w in iter_induced_embeddings(F.members, P, pinned=j)]
+        assert len(pinned) == len(set(pinned))
+        assert set(pinned) == {m for m in unpinned if j in m}
+
+
+@given(st.lists(st.integers(0, 31), unique=True, max_size=10), st.data())
+def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
+    rows = InclusionRows()
+    kept = []
+    for m in masks:
+        rows.push(m)
+        kept.append(m)
+        if data.draw(st.booleans()):
+            assert rows.pop() == kept.pop()
+    fresh = InclusionRows(kept)
+    assert (rows.members, rows.up, rows.down) == (fresh.members, fresh.up, fresh.down)
+    assert rows.members == kept
+    for a, b in proper_subset_pairs(kept):
+        assert rows.up[a] >> b & 1 and rows.down[b] >> a & 1
+    assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(kept))
+
+
 def test_required_member_is_checked():
     F = SetFamily.of(3, [0, 1, 3])
     with pytest.raises(RequiredNotMember):
@@ -158,6 +221,18 @@ def test_chain_families_saturate_the_two_antichain():
     assert not rep.saturated and rep.addable in (0b011, 0b101)
     rep = is_induced_saturated(SetFamily.of(3, [1, 2]), [anti])
     assert not rep.saturated and rep.forbidden_copy is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(max_n=3, max_members=5), st.sampled_from(["fork", "diamond", "N", "Y"]))
+def test_addable_sets_match_bruteforce(F, name):
+    P = catalog(name)
+    if brute_has_induced_copy(F.members, P):
+        return
+    want = [s for s in F.missing() if not brute_has_induced_copy(F.members + (s,), P)]
+    assert list(addable_sets(F, [P])) == want
+    report = is_induced_saturated(F, [P])
+    assert report.saturated == (not want) and report.addable == (want[0] if want else None)
 
 
 def test_two_chain_forbidden_forces_antichains():

@@ -22,6 +22,8 @@ from posat import (
 from posat.errors import BadParam, CycleInCovers, IndexOutOfRange, UnknownName
 from posat.poset import iter_legs_witnesses
 
+from conftest import vf2_embeddings
+
 
 def cover_sets(max_p=6):
     """Random acyclic cover sets: only pairs (a, b) with a < b as indices."""
@@ -232,6 +234,19 @@ def test_embedding_matches_bruteforce(pc_small, pc_big):
             for b in range(P.size):
                 if a != b:
                     assert P.below(a, b) == Q.below(w.mapping[a], w.mapping[b])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_sets(5), cover_sets(7))
+def test_embedding_matches_vf2(nx, pc_small, pc_big):
+    P = from_cover_relations(pc_small[0], sorted(pc_small[1]))
+    Q = from_cover_relations(pc_big[0], sorted(pc_big[1]))
+    below = [(a, b) for a in range(Q.size) for b in range(Q.size) if Q.below(a, b)]
+    copies = vf2_embeddings(nx, Q.size, below, P)
+    w = is_induced_subposet(P, Q)
+    assert (w is not None) == bool(copies)
+    if w is not None:
+        assert w.mapping in copies
 
 
 def test_embedding_hand_cases():

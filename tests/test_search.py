@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from posat import (
@@ -96,6 +98,15 @@ def test_time_limit_returns_sound_bounds():
     assert not res.exact
     assert 1 <= res.lower_bound <= res.upper_bound
     assert is_induced_saturated(res.witness, [catalog("N")]).saturated
+
+
+def test_time_limit_covers_the_symmetry_tables():
+    # at n = 8 the permutation tables alone take seconds to build
+    t0 = time.monotonic()
+    res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
+    assert time.monotonic() - t0 < 3
+    assert not res.exact
+    assert res.lower_bound <= 9 <= res.upper_bound
 
 
 def test_size_limit_caps_the_search():
