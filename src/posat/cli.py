@@ -58,12 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("satstar", help="bounds / exact minimum saturated size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poset", action="append", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--bounds", action="store_true")
+    p.add_argument("--bounds", action="store_true", help="certificate bounds only, no search")
     p.add_argument("--seed", type=int)
     p.add_argument("--time-limit", type=float, default=_default_time_limit())
-    p.add_argument("--jobs", type=int, default=1, help="reserved; runs single-process")
     p.add_argument("--out")
 
     p = sub.add_parser("construct", help="write a named family construction")

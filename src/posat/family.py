@@ -19,7 +19,7 @@ from .errors import (
     NotPerfectSquare,
     RequiredNotMember,
 )
-from .poset import EmbeddingWitness, Poset, induced_embeddings
+from .poset import EmbeddingWitness, Poset, has_pinned_copy, induced_embeddings
 
 MAX_GROUND = 64
 
@@ -150,7 +150,7 @@ class InclusionRows:
         """True iff the last pushed member lies in an induced copy of some
         forbidden poset."""
         last = len(self.members) - 1
-        return any(next(induced_embeddings(P, self.up, self.down, last), None) for P in forbidden)
+        return any(has_pinned_copy(P, self.up, self.down, last) for P in forbidden)
 
     def blocks(self, m: int, forbidden) -> bool:
         """True iff adding m would put it in an induced forbidden copy."""

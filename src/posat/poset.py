@@ -287,6 +287,39 @@ def induced_embeddings(P: Poset, up, down, pinned: int | None = None):
             yield from _match(_plan(P.up, a), up, down, 1 << pinned)
 
 
+@functools.lru_cache(maxsize=1024)
+def _orbit_reps(up: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest element of each automorphism orbit of the poset with
+    relation rows ``up``; the automorphisms are its induced copies in
+    itself."""
+    p = len(up)
+    down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
+    autos = [w.mapping for w in _match(_plan(up, None), up, down, (1 << p) - 1)]
+    reps, seen = [], 0
+    for a in range(p):
+        if not seen >> a & 1:
+            reps.append(a)
+            for f in autos:
+                seen |= 1 << f[a]
+    return tuple(reps)
+
+
+def has_pinned_copy(P: Poset, up, down, pinned: int) -> bool:
+    """True iff some induced copy of P among the targets ordered by ``up`` /
+    ``down`` (as for ``induced_embeddings``) uses target ``pinned``.
+
+    An automorphism of P carries a copy with the pin at element a to one
+    with the pin at any element of a's orbit, so the pin is tried as one
+    element per orbit only.
+    """
+    if P.size > len(up):
+        return False
+    return any(
+        next(_match(_plan(P.up, a), up, down, 1 << pinned), None) is not None
+        for a in _orbit_reps(P.up)
+    )
+
+
 def _match(plan, up, down, first: int):
     """Backtracking over the plan's steps; the candidates of a step are the
     AND of the rows of the targets already placed, minus the used ones."""

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import BadParam, NoLegs, NotSaturated, StartNotFree
+from .errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
 from .family import (
     InclusionRows,
     SetFamily,
@@ -102,22 +102,66 @@ def greedy_saturate(
     return SetFamily.of(n, rows.members)
 
 
-def _perm_tables(n: int, deadline: float | None) -> list[list[int]]:
-    """For each ground-set permutation, the induced map on masks."""
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        _check_deadline(deadline)
-        table = [0] * (1 << n)
-        for m in range(1 << n):
-            t = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                t |= 1 << perm[low.bit_length() - 1]
-            table[m] = t
-        tables.append(table)
-    return tables
+# Bytes a lane table may take; n = 8 (about 330 MB) fits, n = 9 (12 GB) not.
+LANE_TABLE_CAP = 1 << 30
+
+
+def lane_table_bytes(n: int) -> int:
+    """Size of the lane table at ground-set size n: n! lanes of 2^n bits
+    (at least a byte) for each of the 2^n masks."""
+    return math.factorial(n) * (1 << n) * (((1 << n) + 7) // 8)
+
+
+@dataclass(frozen=True)
+class OrbitLanes:
+    """The image of every mask under every ground-set permutation, packed
+    into one int per mask: lane g of ``image[m]`` (2^n bits, at least a
+    byte) has bit g(m) set."""
+
+    image: tuple[int, ...]
+    ones: int  # bit 0 of every lane
+
+    def canonical(self, images: int, marks: int) -> bool:
+        """True iff the mask set S is lexicographically smallest in its
+        orbit, given ``images``, the OR of ``image[m]`` over m in S, and
+        ``marks``, S copied into every lane.
+
+        For equal-size sets, sorted(g(S)) < sorted(S) iff the lowest mask of
+        S xor g(S) lies in g(S), so S is canonical iff in every lane of
+        x = images ^ marks the lowest set bit, if any, is marked.  Every
+        permutation fixes mask 0, so bit 0 of each lane of x is clear:
+        subtracting ``ones``, plus the borrow out of a clear lane below,
+        clears the lowest set bit of each nonzero lane and borrows no
+        further.
+        """
+        x = images ^ marks
+        return not x & ~(x - self.ones) & ~marks
+
+    @classmethod
+    def build(cls, n: int, deadline: float | None = None) -> "OrbitLanes":
+        """The lanes of every mask over [n] (n <= 8), checking the deadline
+        once per permutation and once per mask."""
+        tables = []  # per permutation, the image of every mask as a byte
+        for perm in itertools.permutations(range(n)):
+            _check_deadline(deadline)
+            table = [0]
+            for i in range(n):
+                bit = 1 << perm[i]
+                table += [t | bit for t in table]
+            tables.append(bytes(table))
+        lane_bytes = ((1 << n) + 7) // 8
+        one_hot = [(1 << v).to_bytes(lane_bytes, "little") for v in range(1 << n)]
+        image = []
+        began = time.monotonic()
+        for column in zip(*tables):
+            _check_deadline(deadline)
+            image.append(int.from_bytes(b"".join(map(one_hot.__getitem__, column)), "little"))
+            # The search needs the whole table: give up now, holding one
+            # mask's lanes, when at the first mask's rate the rest cannot be
+            # packed before the deadline (about 1.3 MB a mask at n = 8).
+            if deadline is not None and len(image) == 1:
+                _check_deadline(deadline - (time.monotonic() - began) * ((1 << n) - 1))
+        return cls(tuple(image), int.from_bytes(one_hot[0] * len(tables), "little"))
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -129,15 +173,29 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     """Smallest maximal induced-free family in 2^[n], by iterative deepening
     on the target size.
 
-    Partial families are extended in ascending mask order; a partial family
-    is pruned as soon as it contains a forbidden copy, and (optionally) when
-    it is not the lexicographically smallest member of its orbit under
-    ground-set permutations.  Leaves are accepted iff nothing can be added.
+    Partial families are extended in ascending mask order.  A node first
+    tests each mask of its candidate range that is not yet known to be
+    blocked (adding it would put it in a forbidden copy) and passes the
+    blocked masks to its children: an induced copy survives added members,
+    so a mask blocked at a node stays blocked below it.  The free masks
+    become children, pruned (optionally) when the extended family is not
+    the lexicographically smallest member of its orbit under ground-set
+    permutations; the test is ``OrbitLanes.canonical`` on the orbit images
+    the search carries, one OR per push.  Leaves are accepted iff no mask
+    outside the family and not already known to be blocked can be added.
     On hitting the time limit the result carries the best sound bounds so
-    far with ``exact=False``.
+    far with ``exact=False``.  With symmetry reduction on, a ground set
+    whose lane table would exceed ``LANE_TABLE_CAP`` (n >= 9) raises
+    TooLarge before any work.
     """
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
+    use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
+    if use_sym and lane_table_bytes(n) > LANE_TABLE_CAP:
+        raise TooLarge(
+            f"symmetry reduction at n = {n} needs {lane_table_bytes(n) >> 20} MiB of "
+            f"permutation lanes, over the {LANE_TABLE_CAP >> 20} MiB cap"
+        )
     deadline = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
@@ -146,41 +204,49 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     upper = len(greedy)
     size_cap = config.size_limit if config.size_limit is not None else upper
 
-    use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
     total = 1 << n
     rows = InclusionRows()
 
-    def canonical(chosen: tuple[int, ...]) -> bool:
-        for table in tables:
-            if tuple(sorted(table[m] for m in chosen)) < chosen:
-                return False
-        return True
-
-    def maximal() -> bool:
+    def maximal(blocked: int) -> bool:
         have = set(rows.members)
         for s in range(total):
+            if s in have or blocked >> s & 1:
+                continue
             _check_deadline(deadline)
-            if s not in have and not rows.blocks(s, forbidden):
+            if not rows.blocks(s, forbidden):
                 return False
         return True
 
-    def dfs(start: int, k: int) -> bool:
+    def dfs(start: int, k: int, blocked: int, images: int, marks: int) -> bool:
         _check_deadline(deadline)
-        if len(rows.members) == k:
-            return maximal()
         need = k - len(rows.members)
+        if need == 0:
+            return maximal(blocked)
+        free = []
         for m in range(start, total - need + 1):
+            if blocked >> m & 1:
+                continue
+            if rows.blocks(m, forbidden):
+                blocked |= 1 << m
+            else:
+                free.append(m)
+        for m in free:
+            m_images = m_marks = 0
+            if lanes is not None:
+                m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
+                if not lanes.canonical(m_images, m_marks):
+                    continue
             rows.push(m)
-            if not rows.completes_copy(forbidden) and canonical(tuple(rows.members)) and dfs(m + 1, k):
+            if dfs(m + 1, k, blocked, m_images, m_marks):
                 return True
             rows.pop()
         return False
 
     proven_lower = 1
     try:
-        tables = _perm_tables(n, deadline) if use_sym else []
+        lanes = OrbitLanes.build(n, deadline) if use_sym else None
         for k in range(1, min(upper, size_cap + 1)):
-            if dfs(0, k):
+            if dfs(0, k, 0, 0, 0):
                 fam = SetFamily.of(n, rows.members)
                 return SatStarResult(n, forbidden, k, "exhaustive", k, fam, exact=True)
             proven_lower = k + 1

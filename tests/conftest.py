@@ -13,12 +13,15 @@ import itertools
 
 import pytest
 
-from posat import Digraph, Poset
+from posat import Digraph, Poset, isomorphic
 
 
-def brute_has_induced_copy(members: tuple[int, ...], P: Poset) -> bool:
-    """Scan every injective assignment of poset elements to member masks."""
+def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | None = None) -> bool:
+    """Scan every injective assignment of poset elements to member masks
+    (with ``pinned``, only those using that member index)."""
     for combo in itertools.permutations(range(len(members)), P.size):
+        if pinned is not None and pinned not in combo:
+            continue
         ok = True
         for a in range(P.size):
             for b in range(P.size):
@@ -34,6 +37,15 @@ def brute_has_induced_copy(members: tuple[int, ...], P: Poset) -> bool:
         if ok:
             return True
     return False
+
+
+def isomorphism_classes(posets) -> list[Poset]:
+    """The first poset of each isomorphism class, in order."""
+    out = []
+    for P in posets:
+        if not any(isomorphic(P, Q) for Q in out):
+            out.append(P)
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -44,7 +44,6 @@ from posat import (
     has_legs,
     is_induced_saturated,
     is_tc_free,
-    isomorphic,
     legs_lower_bound,
     legs_witness_map,
     max_tc_free_edges_bruteforce,
@@ -59,15 +58,7 @@ from posat.family import SetFamily, mask_of, singleton_difference_pairs
 from posat.io import format_member
 from posat.verify import random_hypothesis_family, random_tc_free_with_cycle
 
-from conftest import brute_has_induced_copy
-
-
-def _dedupe(posets):
-    out = []
-    for P in posets:
-        if not any(isomorphic(P, Q) for Q in out):
-            out.append(P)
-    return out
+from conftest import brute_has_induced_copy, isomorphism_classes
 
 
 # 1 -- exact minimum sizes for the four-element legged posets
@@ -238,7 +229,7 @@ def test_07_contraction_invariants_random_suite():
 
 def test_08_blow_up_keeps_witnesses_saturated():
     checked = 0
-    for P in _dedupe(catalog_small(5)):
+    for P in isomorphism_classes(catalog_small(5)):
         res = exact_sat_star(3, [P])
         wit = boundedness_witness_check(res.witness, [P])
         if wit is None:
@@ -279,7 +270,7 @@ def test_09_legs_injection_on_minimizers():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_10_consistency_web(n):
-    for P in _dedupe(catalog_small(5)):
+    for P in isomorphism_classes(catalog_small(5)):
         res = exact_sat_star(n, [P])
         res_dual = exact_sat_star(n, [dual(P)])
         assert res.exact and res_dual.exact

@@ -14,6 +14,7 @@ from posat import (
     addable_sets,
     blow_up,
     catalog,
+    catalog_small,
     complement_family,
     contains_induced_copy,
     from_cover_relations,
@@ -41,6 +42,7 @@ from posat.family import (
     mask_of,
     singleton_difference_pairs,
 )
+from posat.poset import has_pinned_copy, induced_embeddings
 
 from conftest import brute_has_induced_copy, vf2_embeddings
 
@@ -185,6 +187,30 @@ def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
     for a, b in proper_subset_pairs(kept):
         assert rows.up[a] >> b & 1 and rows.down[b] >> a & 1
     assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(kept))
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=4, max_members=8), st.sampled_from(catalog_small(5)))
+def test_orbit_pinned_query_matches_every_placement(F, P):
+    rows = InclusionRows(F.members)
+    for j in range(len(F)):
+        every = next(induced_embeddings(P, rows.up, rows.down, j), None) is not None
+        assert has_pinned_copy(P, rows.up, rows.down, j) == every
+        assert every == brute_has_induced_copy(F.members, P, pinned=j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=4, max_members=7), st.data(), st.sampled_from(catalog_small(5)))
+def test_blocked_masks_stay_blocked(F, data, P):
+    # an induced copy through s survives adding t, so s stays blocked
+    outside = F.missing()
+    if len(outside) < 2:
+        return
+    s, t = data.draw(st.lists(st.sampled_from(outside), min_size=2, max_size=2, unique=True))
+    rows = InclusionRows(F.members)
+    if rows.blocks(s, [P]):
+        rows.push(t)
+        assert rows.blocks(s, [P])
 
 
 def test_required_member_is_checked():

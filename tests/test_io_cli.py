@@ -127,6 +127,12 @@ def test_cli_satstar_bounds(capsys):
     assert "kind=double_legs" in out and "lower=10" in out and "exact=false" in out
 
 
+def test_cli_satstar_too_large_exit_code(capsys):
+    # the symmetry tables at n = 9 exceed their cap: resource limit, exit 4
+    assert main(["satstar", "--n", "9", "--poset", "name=fork"]) == 4
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_cli_construct_roundtrips(tmp_path, capsys):
     out_file = str(tmp_path / "fam.txt")
     assert main(["construct", "--name", "x-upper", "--n", "5", "--out", out_file]) == 0

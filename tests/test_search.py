@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from posat import (
     blow_up,
     boundedness_witness_check,
     catalog,
+    catalog_small,
     digraph_lower_bound_check,
     dual,
     exact_sat_star,
@@ -22,9 +25,10 @@ from posat import (
     unique_pair_family,
     y_upper_family,
 )
-from posat.errors import BadParam, NoLegs, NotSaturated, StartNotFree
+from posat.errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
+from posat.search import LANE_TABLE_CAP, OrbitLanes, lane_table_bytes
 
-from conftest import brute_sat_star_n3
+from conftest import brute_sat_star_n3, isomorphism_classes
 
 
 # -- greedy -------------------------------------------------------------------
@@ -91,6 +95,33 @@ def test_symmetry_reduction_changes_nothing(name):
     pruned = exact_sat_star(4, [P], SearchConfig(symmetry_reduction=True))
     assert plain.lower_bound == pruned.lower_bound
     assert plain.exact and pruned.exact
+    # the first maximal free set in lex order is the smallest in its orbit
+    assert plain.witness == pruned.witness
+
+
+def test_symmetry_reduction_keeps_the_witness_at_n3():
+    for P in isomorphism_classes(catalog_small(5)):
+        plain = exact_sat_star(3, [P], SearchConfig(symmetry_reduction=False))
+        pruned = exact_sat_star(3, [P], SearchConfig(symmetry_reduction=True))
+        assert plain.exact and pruned.exact
+        assert plain.witness == pruned.witness
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_packed_lanes_match_sorting_under_every_permutation(n):
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        tables.append([sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)])
+    lanes = OrbitLanes.build(n)
+    rng = random.Random(n)
+    for _ in range(300):
+        chosen = tuple(sorted(rng.sample(range(1 << n), rng.randint(1, min(8, 1 << n)))))
+        naive = all(tuple(sorted(table[m] for m in chosen)) >= chosen for table in tables)
+        images = marks = 0
+        for m in chosen:
+            images |= lanes.image[m]
+            marks |= lanes.ones << m
+        assert lanes.canonical(images, marks) == naive
 
 
 def test_time_limit_returns_sound_bounds():
@@ -107,6 +138,20 @@ def test_time_limit_covers_the_symmetry_tables():
     assert time.monotonic() - t0 < 3
     assert not res.exact
     assert res.lower_bound <= 9 <= res.upper_bound
+
+
+def test_symmetry_tables_are_capped_before_any_work():
+    # 40320 * 256 lanes of 32 bytes fit under the cap; n = 9 needs about 12 GB
+    assert lane_table_bytes(8) == 40320 * 256 * 32 <= LANE_TABLE_CAP < lane_table_bytes(9)
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(9, [catalog("fork")])
+    with pytest.raises(TooLarge):
+        exact_sat_star(12, [catalog("fork")], SearchConfig(symmetry_reduction=True))
+    assert time.monotonic() - t0 < 0.1
+    # without symmetry tables there is nothing to cap
+    res = exact_sat_star(9, [catalog("fork")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
+    assert not res.exact
 
 
 def test_size_limit_caps_the_search():
