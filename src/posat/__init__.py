@@ -47,6 +47,7 @@ from .search import (
     SatStarResult,
     SearchConfig,
     boundedness_witness_check,
+    certified_bounds,
     digraph_lower_bound_check,
     exact_sat_star,
     greedy_saturate,

@@ -58,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("satstar", help="bounds / exact minimum saturated size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poset", action="append", required=True)
-    p.add_argument("--bounds", action="store_true", help="certificate bounds only, no search")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--bounds", action="store_true", help="certified bounds only, no search")
     p.add_argument("--time-limit", type=float, default=_default_time_limit())
     p.add_argument("--out")
 
@@ -126,23 +125,10 @@ def _cmd_check_saturated(args) -> int:
 
 def _cmd_satstar(args) -> int:
     posets = [_load_poset(s) for s in args.poset]
-    config = search.SearchConfig(
-        time_limit=args.time_limit,
-        ordering="random" if args.seed is not None else "lex",
-        seed=args.seed,
-    )
     if args.bounds:
-        greedy = search.greedy_saturate(args.n, posets, config=search.SearchConfig())
-        lower, kind = 1, "trivial"
-        if len(posets) == 1 and args.n >= 3:
-            cert = search.legs_lower_bound(posets[0], args.n)
-            if cert is not None:
-                lower, kind = cert.bound, cert.kind
-        result = search.SatStarResult(
-            args.n, tuple(posets), min(lower, len(greedy)), kind, len(greedy), greedy, exact=False
-        )
+        result = search.certified_bounds(args.n, posets)
     else:
-        result = search.exact_sat_star(args.n, posets, config)
+        result = search.exact_sat_star(args.n, posets, search.SearchConfig(time_limit=args.time_limit))
     _emit(pio.format_result(result), args.out)
     return 0 if result.exact or args.bounds else 4
 

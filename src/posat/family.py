@@ -121,30 +121,39 @@ class InclusionRows:
         for m in members:
             self.push(m)
 
-    def push(self, m: int) -> None:
+    def push(self, m: int, related: tuple[int, int] | None = None) -> None:
+        """Append m.  ``related`` is its (up, down) rows from an earlier push
+        onto the same members; passing it skips the subset scan."""
         bit = 1 << len(self.members)
         up, down = self.up, self.down
-        above = below = 0
-        for i, x in enumerate(self.members):
-            if m & ~x == 0:
-                above |= 1 << i
-                down[i] |= bit
-            elif x & ~m == 0:
-                below |= 1 << i
-                up[i] |= bit
+        if related is not None:
+            above, below = related
+            self._flip(bit, above, below)
+        else:
+            above = below = 0
+            for i, x in enumerate(self.members):
+                if m & ~x == 0:
+                    above |= 1 << i
+                    down[i] |= bit
+                elif x & ~m == 0:
+                    below |= 1 << i
+                    up[i] |= bit
         self.members.append(m)
         up.append(above)
         down.append(below)
 
     def pop(self) -> int:
         """Remove the last pushed member and return it."""
-        bit = 1 << (len(self.members) - 1)
-        for rows, related in ((self.down, self.up.pop()), (self.up, self.down.pop())):
+        self._flip(1 << (len(self.members) - 1), self.up.pop(), self.down.pop())
+        return self.members.pop()
+
+    def _flip(self, bit: int, above: int, below: int) -> None:
+        """Toggle ``bit`` in the down rows of above and the up rows of below."""
+        for rows, related in ((self.down, above), (self.up, below)):
             while related:
                 low = related & -related
                 rows[low.bit_length() - 1] ^= bit
                 related ^= low
-        return self.members.pop()
 
     def completes_copy(self, forbidden) -> bool:
         """True iff the last pushed member lies in an induced copy of some

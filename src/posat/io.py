@@ -166,7 +166,7 @@ def format_result(result) -> str:
     """Certificate block plus the witness family inline."""
     lines = [
         f"lower={result.lower_bound} kind={result.lower_kind}",
-        f"upper={result.upper_bound}",
+        f"upper={result.upper_bound} kind={result.upper_kind}",
         f"exact={str(result.exact).lower()}",
     ]
     if result.witness is not None:

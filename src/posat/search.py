@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
 from .family import (
@@ -19,10 +19,14 @@ from .family import (
     SetFamily,
     blow_up,
     check_forbidden,
+    complement_family,
     contains_induced_copy,
     is_induced_saturated,
     iter_induced_embeddings,
     singleton_difference_pairs,
+    wedge_upper_family,
+    x_upper_family,
+    y_upper_family,
 )
 from .poset import LegsWitness, Poset, dual, has_legs, iter_legs_witnesses
 
@@ -34,21 +38,21 @@ class SearchConfig:
     ordering: str = "lex"  # lex | by_cardinality | random
     seed: int | None = None
     symmetry_reduction: bool | None = None  # None = auto (on for n >= 4)
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.ordering not in ("lex", "by_cardinality", "random"):
             raise BadParam(f"unknown ordering {self.ordering!r}")
-        if self.ordering == "random" and self.deterministic and self.seed is None:
-            raise BadParam("deterministic random ordering needs a seed")
+        if self.ordering == "random" and self.seed is None:
+            raise BadParam("random ordering needs a seed")
 
 
 @dataclass(frozen=True)
 class SatStarResult:
     """Bounds on the minimum saturated family size, with certificates.
 
-    ``lower_kind`` is one of exhaustive, legs, double_legs, digraph, trivial.
-    When ``exact`` is true the witness family attains the lower bound.
+    ``lower_kind`` is exhaustive, legs, double_legs or trivial; ``upper_kind``
+    is exhaustive (the search), greedy or a construction such as x_upper,
+    complement:y_upper or wedge_upper:2.  An exact witness attains the lower bound.
     """
 
     n: int
@@ -56,6 +60,7 @@ class SatStarResult:
     lower_bound: int
     lower_kind: str
     upper_bound: int
+    upper_kind: str
     witness: SetFamily | None
     exact: bool
 
@@ -94,11 +99,10 @@ def greedy_saturate(
     rows = InclusionRows(members)
     have = set(members)
     for s in _mask_order(n, config):
-        if s in have:
-            continue
-        if not rows.blocks(s, forbidden):
+        if s not in have:
             rows.push(s)
-            have.add(s)
+            if rows.completes_copy(forbidden):
+                rows.pop()
     return SetFamily.of(n, rows.members)
 
 
@@ -169,9 +173,33 @@ def _check_deadline(deadline: float | None) -> None:
         raise _TimeUp
 
 
+def certified_bounds(n: int, forbidden) -> SatStarResult:
+    """Bounds on the minimum saturated family size known without search.
+    Lower: the larger legs certificate of the single forbidden poset P and
+    of dual(P) (complementing every member turns a P-saturated family into
+    a dual(P)-saturated one), else 1, trivial.  Upper: the smallest, and
+    earliest on ties, of lex greedy, the X, Y and wedge constructions and
+    their complements that ``is_induced_saturated`` accepts."""
+    forbidden = check_forbidden(forbidden)
+    lower, lower_kind = 1, "trivial"
+    for P in (forbidden[0], dual(forbidden[0])) if len(forbidden) == 1 and n >= 3 else ():
+        cert = legs_lower_bound(P, n)
+        if cert is not None and cert.bound > lower:
+            lower, lower_kind = cert.bound, cert.kind
+    witness, upper_kind = greedy_saturate(n, forbidden), "greedy"
+    named = [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
+    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1)]
+    named += [(f"complement:{kind}", complement_family(F)) for kind, F in named]
+    for kind, F in named:
+        if len(F) < len(witness) and is_induced_saturated(F, forbidden).saturated:
+            witness, upper_kind = F, kind
+    upper = len(witness)
+    return SatStarResult(n, forbidden, lower, lower_kind, upper, upper_kind, witness, lower >= upper)
+
+
 def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> SatStarResult:
     """Smallest maximal induced-free family in 2^[n], by iterative deepening
-    on the target size.
+    on the target size between the ``certified_bounds`` (none if they meet).
 
     Partial families are extended in ascending mask order.  A node first
     tests each mask of its candidate range that is not yet known to be
@@ -188,6 +216,16 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     whose lane table would exceed ``LANE_TABLE_CAP`` (n >= 9) raises
     TooLarge before any work.
     """
+    return _deepen(n, forbidden, config, certified_bounds)
+
+
+def _greedy_bounds(n: int, forbidden) -> SatStarResult:
+    greedy = greedy_saturate(n, forbidden)
+    return SatStarResult(n, forbidden, 1, "trivial", len(greedy), "greedy", greedy, len(greedy) == 1)
+
+
+def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatStarResult:
+    """The search from ``start_bounds``; the default, 1 up to lex greedy, is a test oracle."""
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
@@ -200,21 +238,21 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
 
-    greedy = greedy_saturate(n, forbidden, config=SearchConfig())
-    upper = len(greedy)
+    bounds = start_bounds(n, forbidden)
+    if bounds.exact:
+        return bounds
+    upper = bounds.upper_bound
     size_cap = config.size_limit if config.size_limit is not None else upper
 
     total = 1 << n
     rows = InclusionRows()
 
-    def maximal(blocked: int) -> bool:
-        have = set(rows.members)
+    def maximal(blocked: int) -> bool:  # blocked here includes the members
         for s in range(total):
-            if s in have or blocked >> s & 1:
-                continue
-            _check_deadline(deadline)
-            if not rows.blocks(s, forbidden):
-                return False
+            if not blocked >> s & 1:
+                _check_deadline(deadline)
+                if not rows.blocks(s, forbidden):
+                    return False
         return True
 
     def dfs(start: int, k: int, blocked: int, images: int, marks: int) -> bool:
@@ -222,40 +260,40 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
         need = k - len(rows.members)
         if need == 0:
             return maximal(blocked)
-        free = []
+        free = []  # (mask, its up and down rows)
         for m in range(start, total - need + 1):
             if blocked >> m & 1:
                 continue
-            if rows.blocks(m, forbidden):
+            rows.push(m)
+            if rows.completes_copy(forbidden):
                 blocked |= 1 << m
             else:
-                free.append(m)
-        for m in free:
+                free.append((m, (rows.up[-1], rows.down[-1])))
+            rows.pop()
+        for m, related in free:
             m_images = m_marks = 0
             if lanes is not None:
                 m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
                 if not lanes.canonical(m_images, m_marks):
                     continue
-            rows.push(m)
-            if dfs(m + 1, k, blocked, m_images, m_marks):
+            rows.push(m, related)
+            if dfs(m + 1, k, blocked | 1 << m, m_images, m_marks):
                 return True
             rows.pop()
         return False
 
-    proven_lower = 1
+    proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     try:
         lanes = OrbitLanes.build(n, deadline) if use_sym else None
-        for k in range(1, min(upper, size_cap + 1)):
+        for k in range(proven, min(upper, size_cap + 1)):
             if dfs(0, k, 0, 0, 0):
                 fam = SetFamily.of(n, rows.members)
-                return SatStarResult(n, forbidden, k, "exhaustive", k, fam, exact=True)
-            proven_lower = k + 1
+                return SatStarResult(n, forbidden, k, proven_kind, k, "exhaustive", fam, exact=True)
+            proven, proven_kind = k + 1, "exhaustive"
     except _TimeUp:
-        return SatStarResult(n, forbidden, proven_lower, "exhaustive", upper, greedy, exact=False)
-    if size_cap < upper:
-        return SatStarResult(n, forbidden, proven_lower, "exhaustive", upper, greedy, exact=False)
-    # nothing smaller than the greedy witness exists
-    return SatStarResult(n, forbidden, upper, "exhaustive", upper, greedy, exact=True)
+        pass
+    # exact iff every size below the upper bound was searched out
+    return replace(bounds, lower_bound=proven, lower_kind=proven_kind, exact=proven >= upper)
 
 
 # -- certificates ------------------------------------------------------------

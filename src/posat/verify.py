@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 from . import digraph as dg
 from . import family as fam
@@ -144,6 +145,11 @@ def run_checks(fast: bool = False, slow: bool = False):
     if not fast:
         r3 = search.exact_sat_star(4, [yinv])
         add("exact-yinv-n4", r3.exact and r3.lower_bound == 6, f"got {r3.lower_bound}")
+    t0 = time.perf_counter()
+    rx = search.exact_sat_star(5, [x])  # 2n + 2 meets x_upper_family(5): no search
+    took = time.perf_counter() - t0
+    ok = rx.exact and rx.lower_bound == 12 and rx.lower_kind == "double_legs" and took < 0.1
+    add("certified-x-n5", ok, f"got {rx.lower_bound} ({rx.lower_kind}) in {took:.3f} s")
 
     # 2: fork values
     r4 = search.exact_sat_star(3, [fork])
@@ -249,7 +255,8 @@ def run_checks(fast: bool = False, slow: bool = False):
             ok = False
     add("legs-injection", ok)
 
-    # 10: certificates below exact values, duality of exact values
+    # 10: duality of exact values; certified bounds around the deepening
+    # from size 1 (exact search itself starts from them)
     ok = True
     ns = (3,) if fast else (3, 4)
     for P in _dedupe_isomorphic(catalog_small(5)):
@@ -258,11 +265,10 @@ def run_checks(fast: bool = False, slow: bool = False):
             res_dual = search.exact_sat_star(n, [dual(P)])
             if res.lower_bound != res_dual.lower_bound or not (res.exact and res_dual.exact):
                 ok = False
-            cert = search.legs_lower_bound(P, n)
-            if cert is not None and cert.bound > res.lower_bound:
-                ok = False
-            g = search.greedy_saturate(n, [P])
-            if len(g) < res.lower_bound:
+            oracle = search._deepen(n, [P])
+            bounds = search.certified_bounds(n, [P])  # upper: at most the greedy size
+            lo, hi = bounds.lower_bound, bounds.upper_bound
+            if not oracle.exact or not lo <= oracle.lower_bound == res.lower_bound <= hi:
                 ok = False
     add("consistency-web", ok)
 

@@ -56,6 +56,7 @@ from posat import (
 )
 from posat.family import SetFamily, mask_of, singleton_difference_pairs
 from posat.io import format_member
+from posat.search import _deepen
 from posat.verify import random_hypothesis_family, random_tc_free_with_cycle
 
 from conftest import brute_has_induced_copy, isomorphism_classes
@@ -275,8 +276,13 @@ def test_10_consistency_web(n):
         res_dual = exact_sat_star(n, [dual(P)])
         assert res.exact and res_dual.exact
         assert res.lower_bound == res_dual.lower_bound
-        cert = legs_lower_bound(P, n)
-        if cert is not None:
-            assert cert.bound <= res.lower_bound
+        # exact search starts at the legs bound, so check that bound against
+        # the deepening from size 1, which uses no certificate
+        oracle = _deepen(n, [P])
+        assert oracle.exact and oracle.lower_bound == res.lower_bound
+        for Q in (P, dual(P)):
+            cert = legs_lower_bound(Q, n)
+            if cert is not None:
+                assert cert.bound <= oracle.lower_bound
         greedy = greedy_saturate(n, [P])
         assert len(greedy) >= res.lower_bound

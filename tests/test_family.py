@@ -189,6 +189,21 @@ def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
     assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(kept))
 
 
+@given(st.lists(st.integers(0, 31), unique=True, min_size=1, max_size=10))
+def test_push_with_saved_rows_equals_a_scanning_push(masks):
+    *base, m = masks
+    rows = InclusionRows(base)
+    rows.push(m)
+    scanned = ([*rows.up], [*rows.down])
+    related = rows.up[-1], rows.down[-1]
+    rows.pop()
+    rows.push(m, related)
+    assert (rows.up, rows.down) == scanned
+    assert rows.pop() == m
+    fresh = InclusionRows(base)
+    assert (rows.up, rows.down) == (fresh.up, fresh.down)
+
+
 @settings(max_examples=100, deadline=None)
 @given(families(max_n=4, max_members=8), st.sampled_from(catalog_small(5)))
 def test_orbit_pinned_query_matches_every_placement(F, P):

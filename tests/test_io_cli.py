@@ -117,14 +117,21 @@ def test_cli_check_saturated_verdicts(tmp_path, capsys):
 def test_cli_satstar_exact(tmp_path, capsys):
     assert main(["satstar", "--n", "3", "--poset", "name=fork"]) == 0
     out = capsys.readouterr().out
-    assert "lower=4 kind=exhaustive" in out
-    assert "upper=4" in out and "exact=true" in out and "witness:" in out
+    # fork's dual has legs: n + 1 = 4 meets the greedy family
+    assert "lower=4 kind=legs" in out
+    assert "upper=4 kind=greedy" in out and "exact=true" in out and "witness:" in out
 
 
 def test_cli_satstar_bounds(capsys):
     assert main(["satstar", "--n", "4", "--poset", "name=X", "--bounds"]) == 0
     out = capsys.readouterr().out
-    assert "kind=double_legs" in out and "lower=10" in out and "exact=false" in out
+    # the double-legs bound 2n + 2 meets the verified x_upper family
+    assert "lower=10 kind=double_legs" in out and "upper=10 kind=x_upper" in out
+    assert "exact=true" in out
+    assert main(["satstar", "--n", "4", "--poset", "name=Yinv", "--bounds"]) == 0
+    out = capsys.readouterr().out
+    assert "lower=5 kind=legs" in out and "upper=6 kind=complement:y_upper" in out
+    assert "exact=false" in out
 
 
 def test_cli_satstar_too_large_exit_code(capsys):

@@ -23,10 +23,12 @@ from posat import (
     legs_lower_bound,
     legs_witness_map,
     unique_pair_family,
+    x_upper_family,
     y_upper_family,
 )
+from posat import search
 from posat.errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
-from posat.search import LANE_TABLE_CAP, OrbitLanes, lane_table_bytes
+from posat.search import LANE_TABLE_CAP, OrbitLanes, _deepen, certified_bounds, lane_table_bytes
 
 from conftest import brute_sat_star_n3, isomorphism_classes
 
@@ -132,12 +134,17 @@ def test_time_limit_returns_sound_bounds():
 
 
 def test_time_limit_covers_the_symmetry_tables():
-    # at n = 8 the permutation tables alone take seconds to build
+    # at n = 8 the permutation tables alone take seconds to build; diamond
+    # has no legs on either side, so its bounds (1..9) leave a search to do
     t0 = time.monotonic()
-    res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
+    res = exact_sat_star(8, [catalog("diamond")], SearchConfig(time_limit=1))
     assert time.monotonic() - t0 < 3
     assert not res.exact
     assert res.lower_bound <= 9 <= res.upper_bound
+    # fork's dual has legs: n + 1 = 9 meets greedy, so no table is built
+    res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
+    assert res.exact and res.lower_bound == res.upper_bound == 9
+    assert res.lower_kind == "legs" and res.upper_kind == "greedy"
 
 
 def test_symmetry_tables_are_capped_before_any_work():
@@ -149,15 +156,20 @@ def test_symmetry_tables_are_capped_before_any_work():
     with pytest.raises(TooLarge):
         exact_sat_star(12, [catalog("fork")], SearchConfig(symmetry_reduction=True))
     assert time.monotonic() - t0 < 0.1
-    # without symmetry tables there is nothing to cap
-    res = exact_sat_star(9, [catalog("fork")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
+    # without symmetry tables there is nothing to cap; diamond's bounds at
+    # n = 9 (1..10) stay open, so the search starts and runs out of time
+    res = exact_sat_star(9, [catalog("diamond")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
     assert not res.exact
+    assert (res.lower_bound, res.upper_bound) == (1, 10)
 
 
 def test_size_limit_caps_the_search():
     res = exact_sat_star(3, [catalog("diamond")], SearchConfig(size_limit=2))
     assert not res.exact
     assert res.lower_bound == 3  # sizes 1 and 2 exhausted
+    # every size below greedy's 4 searched out: the answer is exact
+    res = exact_sat_star(3, [catalog("diamond")], SearchConfig(size_limit=3))
+    assert res.exact and res.lower_bound == res.upper_bound == 4
 
 
 def test_multiple_forbidden_posets_exact():
@@ -165,6 +177,54 @@ def test_multiple_forbidden_posets_exact():
     res = exact_sat_star(3, [chain3, anti3])
     assert res.exact
     assert is_induced_saturated(res.witness, [chain3, anti3]).saturated
+
+
+# -- certified bounds ---------------------------------------------------------
+
+def test_certified_start_matches_the_unassisted_deepening():
+    for P in isomorphism_classes(catalog_small(5)):
+        brute = brute_sat_star_n3(P)  # also the dual's value: sat* is self-dual
+        for Q in (P, dual(P)):
+            for n in (3, 4):
+                res = exact_sat_star(n, [Q])
+                oracle = _deepen(n, [Q])
+                assert res.exact and oracle.exact
+                assert res.lower_bound == res.upper_bound == oracle.lower_bound, (Q, n)
+                assert len(res.witness) == res.upper_bound
+                assert is_induced_saturated(res.witness, [Q]).saturated
+                if n == 3:
+                    assert res.lower_bound == brute
+
+
+def test_certified_bounds_close_x_at_n5_without_search():
+    t0 = time.monotonic()
+    res = exact_sat_star(5, [catalog("X")])
+    assert time.monotonic() - t0 < 0.1
+    assert res.exact and res.lower_bound == res.upper_bound == 12
+    assert (res.lower_kind, res.upper_kind) == ("double_legs", "x_upper")
+    assert res.witness == x_upper_family(5)
+    # Yinv: the complement of y_upper(5) caps the search at 7 members
+    bounds = certified_bounds(5, [catalog("Yinv")])
+    assert (bounds.lower_bound, bounds.upper_bound) == (6, 7)
+    assert bounds.upper_kind == "complement:y_upper" and not bounds.exact
+
+
+def test_unsaturated_candidate_is_never_the_upper_bound(monkeypatch):
+    # a one-member "construction" beats every real candidate on size, but
+    # it is not saturated, so it must be rejected
+    monkeypatch.setattr(search, "x_upper_family", lambda n: SetFamily.of(n, [0]))
+    for name in ("X", "fork", "diamond"):
+        P = catalog(name)
+        bounds = certified_bounds(4, [P])
+        assert bounds.upper_kind != "x_upper" and bounds.upper_bound > 1
+        assert is_induced_saturated(bounds.witness, [P]).saturated
+        assert len(bounds.witness) == bounds.upper_bound
+
+
+def test_certified_bounds_need_one_forbidden_poset_for_legs():
+    bounds = certified_bounds(4, [catalog("X"), catalog("chain", 5)])
+    assert (bounds.lower_bound, bounds.lower_kind) == (1, "trivial")
+    assert bounds.upper_bound >= exact_sat_star(4, [catalog("X"), catalog("chain", 5)]).lower_bound
 
 
 # -- certificates -------------------------------------------------------------
