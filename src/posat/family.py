@@ -18,10 +18,14 @@ from .errors import (
     BadParams,
     NotPerfectSquare,
     RequiredNotMember,
+    TooLarge,
 )
 from .poset import EmbeddingWitness, Poset, has_pinned_copy, induced_embeddings
 
 MAX_GROUND = 64
+# Orbit representatives a saturation sweep may test: a family with no twins
+# over [20] has 2^20 orbits of missing sets.
+SWEEP_CAP = 1 << 20
 
 
 def full_mask(n: int) -> int:
@@ -207,13 +211,86 @@ def check_forbidden(forbidden) -> tuple[Poset, ...]:
     return forbidden
 
 
+def twin_classes(F: SetFamily) -> tuple[int, ...]:
+    """The classes of the twin relation on [n] as masks, ordered by their
+    lowest elements: i and j are twins when swapping them maps F to F.
+
+    The relation is an equivalence (conjugating a twin swap by another
+    gives a twin swap), so each element is compared only with the lowest
+    element of each class found so far.  The product of the symmetric
+    groups of the classes lies in the automorphism group of F.
+    """
+    have = set(F.members)
+    classes = []
+    for i in range(F.n):
+        bit = 1 << i
+        for c, cls in enumerate(classes):
+            swap = bit | cls & -cls
+            if all(m ^ swap in have for m in F.members if (m & swap).bit_count() == 1):
+                classes[c] |= bit
+                break
+        else:
+            classes.append(bit)
+    return tuple(classes)
+
+
+def orbit_count(classes) -> int:
+    """The number of orbits of 2^[n] under the twin-class symmetry: one per
+    vector of per-class counts."""
+    return math.prod(cls.bit_count() + 1 for cls in classes)
+
+
+def orbit_representatives(classes) -> list[int]:
+    """The smallest mask of every orbit, ascending: the c_i lowest elements
+    of each class C_i, for every count vector (c_1, ..., c_r)."""
+    reps = [0]
+    for cls in classes:
+        lows, low = [0], 0
+        while cls:
+            low |= cls & -cls
+            cls &= cls - 1
+            lows.append(low)
+        reps = [r | low for r in reps for low in lows]
+    return sorted(reps)
+
+
+def orbit(rep: int, classes) -> list[int]:
+    """Every mask with as many elements in each class as ``rep``."""
+    masks = [0]
+    for cls in classes:
+        bits = [1 << (e - 1) for e in elems_of(cls)]
+        picks = [sum(c) for c in itertools.combinations(bits, (rep & cls).bit_count())]
+        masks = [m | p for m in masks for p in picks]
+    return masks
+
+
+def _free_representatives(F: SetFamily, forbidden, classes):
+    """Yield, ascending, the representative S of every orbit of missing
+    sets such that F + S has no forbidden copy using S.  A twin swap g fixes
+    F, so it maps the copies in F + S using S onto those in F + g(S) using
+    g(S): one test decides the whole orbit.  Raises TooLarge, before any
+    test, when there are more than ``SWEEP_CAP`` orbits."""
+    count = orbit_count(classes)
+    if count > SWEEP_CAP:
+        raise TooLarge(
+            f"the saturation sweep would test {count} orbit representatives, "
+            f"over the cap of {SWEEP_CAP}"
+        )
+    have = set(F.members)
+    rows = InclusionRows(F.members)
+    for s in orbit_representatives(classes):
+        if s not in have and not rows.blocks(s, forbidden):
+            yield s
+
+
 def addable_sets(F: SetFamily, forbidden):
     """Yield, ascending, every missing mask S such that F + S has no induced
     copy of a forbidden poset that uses S.  When F is free these are exactly
-    the sets that can be added to F freely."""
+    the sets that can be added to F freely.  One set per orbit of the
+    twin-class symmetry is tested (see ``is_induced_saturated``)."""
     forbidden = check_forbidden(forbidden)
-    rows = InclusionRows(F.members)
-    yield from (s for s in F.missing() if not rows.blocks(s, forbidden))
+    classes = twin_classes(F)
+    yield from sorted(m for s in _free_representatives(F, forbidden, classes) for m in orbit(s, classes))
 
 
 @dataclass(frozen=True)
@@ -233,6 +310,11 @@ def is_induced_saturated(F: SetFamily, forbidden: list[Poset]) -> SaturationRepo
     """True iff F is free of every forbidden poset and no set can be added
     without creating a copy of one of them (see ``check_forbidden`` for the
     posets accepted).
+
+    The missing sets are tested one per orbit of the twin-class symmetry,
+    at the orbit's smallest mask and in ascending order, so ``addable`` is
+    the smallest addable mask.  A free family whose twin classes give more
+    than ``SWEEP_CAP`` orbits raises TooLarge.
     """
     forbidden = check_forbidden(forbidden)
     for idx, P in enumerate(forbidden):
@@ -240,7 +322,7 @@ def is_induced_saturated(F: SetFamily, forbidden: list[Poset]) -> SaturationRepo
         if w is not None:
             return SaturationReport(False, forbidden_copy=(idx, w.mapping))
     # F is free, so any copy in F + S must use S: the pinned sweep decides.
-    s = next(addable_sets(F, forbidden), None)
+    s = next(_free_representatives(F, forbidden, twin_classes(F)), None)
     return SaturationReport(s is None, addable=s)
 
 
@@ -251,8 +333,8 @@ def y_upper_family(n: int) -> SetFamily:
     Y-saturated."""
     if n < 3:
         raise BadN("construction needs n >= 3")
-    members = [0] + _by_min_size(n, n - 1)
-    fam = SetFamily.of(n, members)
+    full = full_mask(n)
+    fam = SetFamily.of(n, [0, full] + [full ^ 1 << j for j in range(n)])
     assert len(fam) == n + 2
     return fam
 
@@ -261,14 +343,10 @@ def x_upper_family(n: int) -> SetFamily:
     """All sets of size <= 1 or >= n-1; 2n+2 members, induced X-saturated."""
     if n < 3:
         raise BadN("construction needs n >= 3")
-    members = [0] + [1 << j for j in range(n)] + _by_min_size(n, n - 1)
-    fam = SetFamily.of(n, members)
+    full = full_mask(n)
+    fam = SetFamily.of(n, [0, full] + [b for j in range(n) for b in (1 << j, full ^ 1 << j)])
     assert len(fam) == 2 * n + 2
     return fam
-
-
-def _by_min_size(n: int, lo: int) -> list[int]:
-    return [m for m in range(1 << n) if m.bit_count() >= lo]
 
 
 def wedge_upper_family(n: int, ell: int) -> SetFamily:

@@ -212,9 +212,9 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     the search carries, one OR per push.  Leaves are accepted iff no mask
     outside the family and not already known to be blocked can be added.
     On hitting the time limit the result carries the best sound bounds so
-    far with ``exact=False``.  With symmetry reduction on, a ground set
-    whose lane table would exceed ``LANE_TABLE_CAP`` (n >= 9) raises
-    TooLarge before any work.
+    far with ``exact=False``.  With symmetry reduction on and the bounds
+    apart, a ground set whose lane table would exceed ``LANE_TABLE_CAP``
+    (n >= 9) raises TooLarge before any search.
     """
     return _deepen(n, forbidden, config, certified_bounds)
 
@@ -229,11 +229,6 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
-    if use_sym and lane_table_bytes(n) > LANE_TABLE_CAP:
-        raise TooLarge(
-            f"symmetry reduction at n = {n} needs {lane_table_bytes(n) >> 20} MiB of "
-            f"permutation lanes, over the {LANE_TABLE_CAP >> 20} MiB cap"
-        )
     deadline = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
@@ -241,6 +236,11 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     bounds = start_bounds(n, forbidden)
     if bounds.exact:
         return bounds
+    if use_sym and lane_table_bytes(n) > LANE_TABLE_CAP:
+        raise TooLarge(
+            f"symmetry reduction at n = {n} needs {lane_table_bytes(n) >> 20} MiB of "
+            f"permutation lanes, over the {LANE_TABLE_CAP >> 20} MiB cap"
+        )
     upper = bounds.upper_bound
     size_cap = config.size_limit if config.size_limit is not None else upper
 

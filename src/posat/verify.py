@@ -158,9 +158,13 @@ def run_checks(fast: bool = False, slow: bool = False):
         r5 = search.exact_sat_star(4, [fork])
         add("exact-fork-n4", r5.exact and r5.lower_bound == 5, f"got {r5.lower_bound}")
 
-    # 3: constructions are saturated with the right sizes
+    # 3: constructions are saturated with the right sizes; --slow adds the
+    # paper's scale, where the twin-class sweep tests n + 1 or (l + 1)(n - l + 1)
+    # orbit representatives
     y = catalog("Y")
     sizes = (3, 4) if fast else (3, 4, 5, 6)
+    if slow:
+        sizes += (32, 64)
     for n in sizes:
         fy = fam.y_upper_family(n)
         ok = len(fy) == n + 2 and fam.is_induced_saturated(fy, [y]).saturated
@@ -169,12 +173,14 @@ def run_checks(fast: bool = False, slow: bool = False):
         ok = len(fx) == 2 * n + 2 and fam.is_induced_saturated(fx, [x]).saturated
         add(f"x-upper-n{n}", ok)
     params = ((5, 2),) if fast else ((5, 2), (6, 2), (7, 3))
-    for n, ell in params:
+    wedges = params + ((32, 3), (64, 3)) if slow else params
+    for n, ell in wedges:
         fw = fam.wedge_upper_family(n, ell)
         ok = len(fw) == n + 2 ** (ell + 1) - ell - 1 and fam.is_induced_saturated(
             fw, [catalog("wedge", ell + 1)]
         ).saturated
         add(f"wedge-upper-n{n}-l{ell}", ok)
+    for n, ell in params:  # the oracle enumerates 2^n sets
         add(f"xell-upper-n{n}-l{ell}", *_check_xell_upper(n, ell))
 
     # 4: the unique-pair family and its auxiliary digraph
@@ -254,6 +260,10 @@ def run_checks(fast: bool = False, slow: bool = False):
         if len(set(m.values())) != res.n or 0 in m.values():
             ok = False
     add("legs-injection", ok)
+    if slow:
+        m = search.legs_witness_map(fam.x_upper_family(32), x)
+        ok = m == {i: 1 << (i - 1) for i in range(1, 33)}  # every singleton is a member
+        add("legs-injection-x-upper-n32", ok)
 
     # 10: duality of exact values; certified bounds around the deepening
     # from size 1 (exact search itself starts from them)

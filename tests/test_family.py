@@ -4,6 +4,9 @@ and the explicit constructions."""
 from __future__ import annotations
 
 import itertools
+import random
+import time
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +36,20 @@ from posat.errors import (
     BadParams,
     NotPerfectSquare,
     RequiredNotMember,
+    TooLarge,
 )
 from posat.family import (
+    SWEEP_CAP,
     InclusionRows,
     elems_of,
     full_mask,
     iter_induced_embeddings,
     mask_of,
+    orbit,
+    orbit_count,
+    orbit_representatives,
     singleton_difference_pairs,
+    twin_classes,
 )
 from posat.poset import has_pinned_copy, induced_embeddings
 
@@ -276,6 +285,103 @@ def test_addable_sets_match_bruteforce(F, name):
     assert report.saturated == (not want) and report.addable == (want[0] if want else None)
 
 
+def full_sweep(F, forbidden):
+    """Every missing mask that no forbidden copy through it blocks, one
+    pinned query per mask."""
+    rows = InclusionRows(F.members)
+    return [s for s in F.missing() if not rows.blocks(s, forbidden)]
+
+
+def permuted(F, rng):
+    """F with its ground elements renamed by a random permutation."""
+    perm = list(range(F.n))
+    rng.shuffle(perm)
+    return SetFamily.of(F.n, (sum(1 << perm[i] for i in range(F.n) if m >> i & 1) for m in F.members))
+
+
+def swapped(F, i, j):
+    """F with the 1-based ground elements i and j exchanged."""
+    swap = 1 << (i - 1) | 1 << (j - 1)
+    return SetFamily.of(F.n, (m ^ swap if (m & swap).bit_count() == 1 else m for m in F.members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_n=6, max_members=12))
+def test_twin_classes_are_the_swaps_that_fix_the_family(F):
+    classes = twin_classes(F)
+    assert sum(classes) == full_mask(F.n) and sum(c.bit_count() for c in classes) == F.n
+    assert all(c for c in classes) and list(classes) == sorted(classes, key=lambda c: c & -c)
+    class_of = {e: k for k, c in enumerate(classes) for e in elems_of(c)}
+    for i, j in itertools.combinations(range(1, F.n + 1), 2):
+        assert (swapped(F, i, j) == F) == (class_of[i] == class_of[j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_orbit_representatives_are_the_smallest_masks(labels):
+    # any partition of [n] into classes; group 2^[n] by per-class counts
+    n = len(labels)
+    by_label = defaultdict(int)
+    for i, label in enumerate(labels):
+        by_label[label] |= 1 << i
+    classes = sorted(by_label.values(), key=lambda c: c & -c)
+    orbits = defaultdict(list)
+    for m in range(1 << n):
+        orbits[tuple((m & c).bit_count() for c in classes)].append(m)
+    assert orbit_count(classes) == len(orbits)
+    assert orbit_representatives(classes) == sorted(min(o) for o in orbits.values())
+    for o in orbits.values():
+        assert sorted(orbit(min(o), classes)) == o
+
+
+# (construction, its number of twin classes) at n <= 10
+CONSTRUCTIONS = {
+    **{f"x_upper({n})": (x_upper_family(n), 1) for n in (4, 7, 10)},
+    **{f"y_upper({n})": (y_upper_family(n), 1) for n in (4, 7, 10)},
+    **{f"wedge_upper({n},{ell})": (wedge_upper_family(n, ell), 2) for n, ell in ((5, 2), (7, 3), (10, 3))},
+    **{f"xell_upper({n},{ell})": (xell_upper_family(n, ell), 2) for n, ell in ((5, 2), (7, 3), (9, 2))},
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_orbit_sweep_matches_the_full_sweep_on_permuted_constructions(name):
+    F, r = CONSTRUCTIONS[name]
+    rng = random.Random(name)
+    G = permuted(F, rng)
+    assert len(twin_classes(G)) == r
+    for P in (catalog("X"), catalog("Y"), catalog("fork"), catalog("wedge", 3), catalog("Xell", 2)):
+        want = full_sweep(G, [P])
+        assert list(addable_sets(G, [P])) == want
+        if contains_induced_copy(G, P) is None:
+            assert is_induced_saturated(G, [P]).addable == (want[0] if want else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=6, max_members=10), st.sampled_from(catalog_small(5)))
+def test_orbit_sweep_matches_the_full_sweep(F, P):
+    want = full_sweep(F, [P])
+    assert list(addable_sets(F, [P])) == want
+    report = is_induced_saturated(F, [P])
+    if report.forbidden_copy is None:
+        assert report.addable == (want[0] if want else None)
+
+
+def test_sweep_is_capped_by_the_orbit_count():
+    # a maximal chain has no twins: 2^n orbits, counted without enumerating
+    def chain(n):
+        return SetFamily.of(n, [full_mask(k) for k in range(n + 1)])
+
+    assert twin_classes(chain(20)) == tuple(1 << i for i in range(20))
+    assert orbit_count(twin_classes(chain(20))) == SWEEP_CAP
+    anti = catalog("antichain", 2)
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        is_induced_saturated(chain(21), [anti])
+    with pytest.raises(TooLarge):
+        next(addable_sets(chain(21), [anti]))
+    assert time.monotonic() - t0 < 0.1
+
+
 def test_two_chain_forbidden_forces_antichains():
     # forbidding the 2-chain, saturated families are the maximal antichains
     two = catalog("chain", 2)
@@ -319,6 +425,13 @@ def test_wedge_upper_family_is_wedge_saturated(n, ell):
     F = wedge_upper_family(n, ell)
     assert len(F) == n + 2 ** (ell + 1) - ell - 1
     assert is_induced_saturated(F, [catalog("wedge", ell + 1)]).saturated
+
+
+def test_constructions_list_the_filtered_cube():
+    for n in range(3, 17):
+        top = [m for m in range(1 << n) if m.bit_count() >= n - 1]
+        assert y_upper_family(n) == SetFamily.of(n, [0] + top)
+        assert x_upper_family(n) == SetFamily.of(n, [0] + [1 << j for j in range(n)] + top)
 
 
 def test_wedge_family_parameter_bounds():

@@ -135,8 +135,24 @@ def test_cli_satstar_bounds(capsys):
 
 
 def test_cli_satstar_too_large_exit_code(capsys):
-    # the symmetry tables at n = 9 exceed their cap: resource limit, exit 4
-    assert main(["satstar", "--n", "9", "--poset", "name=fork"]) == 4
+    # diamond's certified bounds at n = 9 (1..10) stay open and the
+    # symmetry tables there exceed their cap: resource limit, exit 4
+    assert main(["satstar", "--n", "9", "--poset", "name=diamond"]) == 4
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_cli_satstar_certified_beyond_the_lane_cap(capsys):
+    # fork's certified bounds meet at n = 9, so no lane table is needed
+    assert main(["satstar", "--n", "9", "--poset", "name=fork"]) == 0
+    out = capsys.readouterr().out
+    assert "lower=10" in out and "exact=true" in out
+
+
+def test_cli_check_saturated_sweep_cap_exit_code(tmp_path, capsys):
+    # a maximal chain over [21] has no twins: 2^21 orbits, over the cap
+    chain = "".join("{" + ",".join(map(str, range(1, k + 1))) + "}\n" for k in range(22))
+    fam = write(tmp_path, "chain.txt", "n=21\n" + chain)
+    assert main(["check-saturated", "--family", fam, "--poset", "name=antichain:2"]) == 4
     assert "resource limit" in capsys.readouterr().err
 
 

@@ -150,12 +150,20 @@ def test_time_limit_covers_the_symmetry_tables():
 def test_symmetry_tables_are_capped_before_any_work():
     # 40320 * 256 lanes of 32 bytes fit under the cap; n = 9 needs about 12 GB
     assert lane_table_bytes(8) == 40320 * 256 * 32 <= LANE_TABLE_CAP < lane_table_bytes(9)
+    # the cap applies only when a search is left: fork's legs bound n + 1
+    # meets greedy at n = 9, so no lane table is needed
+    res = exact_sat_star(9, [catalog("fork")])
+    assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
-        exact_sat_star(9, [catalog("fork")])
-    with pytest.raises(TooLarge):
-        exact_sat_star(12, [catalog("fork")], SearchConfig(symmetry_reduction=True))
+        exact_sat_star(9, [catalog("diamond")])
     assert time.monotonic() - t0 < 0.1
+    # the certified bounds come first: at n = 12 lex greedy alone scans the
+    # 4096 masks (about 0.08 s), still far from any lane-table work
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(12, [catalog("diamond")], SearchConfig(symmetry_reduction=True))
+    assert time.monotonic() - t0 < 0.5
     # without symmetry tables there is nothing to cap; diamond's bounds at
     # n = 9 (1..10) stay open, so the search starts and runs out of time
     res = exact_sat_star(9, [catalog("diamond")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
