@@ -42,6 +42,7 @@ from .poset import (
     has_legs,
     is_induced_subposet,
     isomorphic,
+    isomorphism_classes,
 )
 from .search import (
     SatStarResult,

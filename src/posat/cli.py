@@ -48,7 +48,6 @@ def _default_time_limit() -> float | None:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="posat", description=__doc__)
-    ap.add_argument("--pretty", action="store_true", help="human-readable tables")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-saturated", help="saturation verdict for a family")
@@ -103,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--digraph")
     p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="re-run the full self-check suite")
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--slow", action="store_true")
+    p = sub.add_parser("verify", help="re-run the headline checks")
+    p.add_argument("--fast", action="store_true", help="only the checks tagged fast")
     return ap
 
 
@@ -181,14 +179,14 @@ def _cmd_digraph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_checks
+    from .verify import CHECKS
 
-    checks = run_checks(fast=args.fast, slow=args.slow)
+    checks = [c for c in CHECKS if c.fast or not args.fast]
     failed = 0
-    for label, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
+    for c in checks:
+        ok, detail = c.run()
         suffix = f"  ({detail})" if detail else ""
-        print(f"{tag} {label}{suffix}")
+        print(f"{'PASS' if ok else 'FAIL'} {c.label}{suffix}")
         failed += not ok
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1

@@ -379,8 +379,8 @@ def xell_upper_family(n: int, ell: int) -> SetFamily:
     The family is free of Xell(ell), but it is not maximal: exactly the
     (2^ell - 2)(2^(n-ell) - 2) sets that meet both [ell] and its complement
     without containing either can still be added (e.g. {1,3} at n=5,
-    ell=2), so it is not induced saturated for Xell(ell).  See the
-    acceptance tests for the checks.
+    ell=2), so it is not induced saturated for Xell(ell).  The
+    ``xell-upper-*`` checks of ``posat.verify`` assert this.
     """
     base = wedge_upper_family(n, ell)
     fam = SetFamily.of(n, base.members + complement_family(base).members)

@@ -377,3 +377,12 @@ def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
 def isomorphic(P: Poset, Q: Poset) -> bool:
     """True iff P and Q are isomorphic as abstract posets."""
     return P.size == Q.size and is_induced_subposet(P, Q) is not None
+
+
+def isomorphism_classes(posets) -> list[Poset]:
+    """The first poset of each isomorphism class, in order."""
+    out = []
+    for P in posets:
+        if not any(isomorphic(P, Q) for Q in out):
+            out.append(P)
+    return out

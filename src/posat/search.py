@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
 from .family import (
+    SWEEP_CAP,
     InclusionRows,
     SetFamily,
     blow_up,
@@ -35,15 +36,7 @@ from .poset import LegsWitness, Poset, dual, has_legs, iter_legs_witnesses
 class SearchConfig:
     size_limit: int | None = None
     time_limit: float | None = None
-    ordering: str = "lex"  # lex | by_cardinality | random
-    seed: int | None = None
     symmetry_reduction: bool | None = None  # None = auto (on for n >= 4)
-
-    def __post_init__(self):
-        if self.ordering not in ("lex", "by_cardinality", "random"):
-            raise BadParam(f"unknown ordering {self.ordering!r}")
-        if self.ordering == "random" and self.seed is None:
-            raise BadParam("random ordering needs a seed")
 
 
 @dataclass(frozen=True)
@@ -73,32 +66,35 @@ class _TimeUp(Exception):
     pass
 
 
-def _mask_order(n: int, config: SearchConfig) -> list[int]:
-    masks = list(range(1 << n))
-    if config.ordering == "by_cardinality":
-        masks.sort(key=lambda m: (m.bit_count(), m))
-    elif config.ordering == "random":
-        rng = random.Random(config.seed)
-        rng.shuffle(masks)
-    return masks
-
-
 def greedy_saturate(
     n: int,
     forbidden,
     start: SetFamily | None = None,
-    config: SearchConfig | None = None,
+    ordering: str = "lex",
+    seed: int | None = None,
 ) -> SetFamily:
     """Extend the start family to a maximal induced-free one by scanning the
-    missing sets in the configured order and adding whenever possible."""
+    missing sets in ``ordering`` (lex, by_cardinality, or random, shuffled
+    by ``seed``) and adding whenever possible.  The scan covers all 2^n
+    sets: above ``SWEEP_CAP`` it raises TooLarge before any work."""
+    if ordering not in ("lex", "by_cardinality", "random"):
+        raise BadParam(f"unknown ordering {ordering!r}")
+    if ordering == "random" and seed is None:
+        raise BadParam("random ordering needs a seed")
+    if 1 << n > SWEEP_CAP:
+        raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
     forbidden = check_forbidden(forbidden)
-    config = config or SearchConfig()
     members = sorted(start.members) if start is not None else []
     if any(contains_induced_copy(SetFamily.of(n, members), P) for P in forbidden):
         raise StartNotFree("start family already contains a forbidden copy")
     rows = InclusionRows(members)
     have = set(members)
-    for s in _mask_order(n, config):
+    masks = list(range(1 << n))
+    if ordering == "by_cardinality":
+        masks.sort(key=lambda m: (m.bit_count(), m))
+    elif ordering == "random":
+        random.Random(seed).shuffle(masks)
+    for s in masks:
         if s not in have:
             rows.push(s)
             if rows.completes_copy(forbidden):
@@ -179,20 +175,25 @@ def certified_bounds(n: int, forbidden) -> SatStarResult:
     of dual(P) (complementing every member turns a P-saturated family into
     a dual(P)-saturated one), else 1, trivial.  Upper: the smallest, and
     earliest on ties, of lex greedy, the X, Y and wedge constructions and
-    their complements that ``is_induced_saturated`` accepts."""
+    their complements that ``is_induced_saturated`` accepts.  Above
+    2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1) members) are left
+    out, and TooLarge is raised when no X or Y candidate is saturated."""
     forbidden = check_forbidden(forbidden)
     lower, lower_kind = 1, "trivial"
     for P in (forbidden[0], dual(forbidden[0])) if len(forbidden) == 1 and n >= 3 else ():
         cert = legs_lower_bound(P, n)
         if cert is not None and cert.bound > lower:
             lower, lower_kind = cert.bound, cert.kind
-    witness, upper_kind = greedy_saturate(n, forbidden), "greedy"
+    swept = 1 << n <= SWEEP_CAP
+    witness, upper_kind = (greedy_saturate(n, forbidden), "greedy") if swept else (None, None)
     named = [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
-    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1)]
+    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept]
     named += [(f"complement:{kind}", complement_family(F)) for kind, F in named]
     for kind, F in named:
-        if len(F) < len(witness) and is_induced_saturated(F, forbidden).saturated:
+        if (witness is None or len(F) < len(witness)) and is_induced_saturated(F, forbidden).saturated:
             witness, upper_kind = F, kind
+    if witness is None:
+        raise TooLarge(f"no X or Y construction is saturated at n = {n}, and greedy scans at most {SWEEP_CAP} sets")
     upper = len(witness)
     return SatStarResult(n, forbidden, lower, lower_kind, upper, upper_kind, witness, lower >= upper)
 

@@ -1,8 +1,11 @@
-"""Self-verification suite: re-runs every headline check from the CLI.
+"""The headline checks, one definition each.
 
-Each check returns (label, passed, detail).  ``--fast`` trims the random
-sample sizes and the larger exact searches; the 5-vertex digraph
-enumeration only runs with ``--slow``.
+``CHECKS`` is an ordered registry.  Every ``Check`` has a label, a ``fast``
+tag and a zero-argument ``run`` that returns ``(passed, detail)``.
+``posat verify`` runs every check (``--fast``: only the fast ones), and the
+acceptance tests run each one by label through ``check``.  A check's sample
+never depends on which checks run: a randomised check owns its seeded
+generator and its size.
 """
 
 from __future__ import annotations
@@ -11,21 +14,53 @@ import itertools
 import math
 import random
 import time
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from . import digraph as dg
 from . import family as fam
 from . import search
 from .io import format_member
-from .poset import Poset, catalog, catalog_small, dual, has_legs, isomorphic
+from .poset import Poset, catalog, catalog_small, dual, has_legs, isomorphism_classes
 
 
-def _dedupe_isomorphic(posets):
-    out = []
-    for P in posets:
-        if not any(isomorphic(P, Q) for Q in out):
-            out.append(P)
-    return out
+class _Failed(Exception):
+    """A check's condition does not hold; the message is the check's detail."""
 
+
+def _require(condition, detail: str) -> None:
+    # not ``assert``: ``python -O`` strips asserts
+    if not condition:
+        raise _Failed(detail)
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named headline check.  ``body`` returns the detail of a pass and
+    calls ``_require`` for each condition; the first one that fails gives
+    the detail of a fail."""
+
+    label: str
+    fast: bool
+    body: Callable[[], str]
+
+    def run(self) -> tuple[bool, str]:
+        try:
+            return True, self.body()
+        except _Failed as exc:
+            return False, str(exc)
+
+
+def check(label: str) -> tuple[bool, str]:
+    """Run the check registered under ``label``."""
+    for c in CHECKS:
+        if c.label == label:
+            return c.run()
+    raise KeyError(label)
+
+
+# -- random inputs ------------------------------------------------------------
 
 def random_hypothesis_family(n: int, rng: random.Random) -> fam.SetFamily:
     """Random family repaired so every i in [n] has a pair A \\ B = {i}."""
@@ -64,173 +99,159 @@ def random_tc_free_with_cycle(rng: random.Random) -> dg.Digraph:
             return D
 
 
-def _check_xell_upper(n: int, ell: int):
+# -- the checks ---------------------------------------------------------------
+
+def _exact(name: str, n: int, value: int) -> str:
+    res = search.exact_sat_star(n, [catalog(name)])
+    detail = f"got {res.lower_bound}"
+    _require(res.exact and res.lower_bound == value, f"{detail}, exact={res.exact}, expected {value}")
+    return detail
+
+
+def _certified_x_n5() -> str:
+    """2n + 2 meets x_upper_family(5), so the answer needs no search."""
+    t0 = time.perf_counter()
+    res = search.exact_sat_star(5, [catalog("X")])
+    took = time.perf_counter() - t0
+    detail = f"got {res.lower_bound} ({res.lower_kind}) in {took:.3f} s"
+    _require(res.exact and res.lower_bound == 12 and res.lower_kind == "double_legs" and took < 0.1, detail)
+    return detail
+
+
+def _saturated(F: fam.SetFamily, P: Poset, size: int) -> str:
+    _require(len(F) == size, f"{len(F)} members, expected {size}")
+    _require(fam.is_induced_saturated(F, [P]).saturated, "not induced saturated")
+    return ""
+
+
+def _upper(kind: str, n: int) -> str:
+    if kind == "y":
+        return _saturated(fam.y_upper_family(n), catalog("Y"), n + 2)
+    return _saturated(fam.x_upper_family(n), catalog("X"), 2 * n + 2)
+
+
+def _wedge_upper(n: int, ell: int) -> str:
+    return _saturated(fam.wedge_upper_family(n, ell), catalog("wedge", ell + 1), n + 2 ** (ell + 1) - ell - 1)
+
+
+def _xell_upper(n: int, ell: int) -> str:
     """The complement-closed wedge family is Xell(ell)-free but not maximal:
     with H = [n] \\ [ell], the freely addable sets are exactly those meeting
     both [ell] and H and containing neither, (2^ell - 2)(2^(n-ell) - 2) of
-    them."""
+    them (e.g. {1,3} at n = 5, ell = 2)."""
     F = fam.xell_upper_family(n, ell)
     P = catalog("Xell", ell)
+    _require(len(F) == 2 * n + 2 ** (ell + 1) - 2 * ell, f"{len(F)} members")
+    _require(fam.contains_induced_copy(F, P) is None, "contains an induced copy")
     low = fam.full_mask(ell)
     high = fam.full_mask(n) ^ low
     documented = {
         s for s in range(1 << n)
         if s & low not in (0, low) and s & high not in (0, high)
     }
-    addable = set(fam.addable_sets(F, [P]))
+    _require(len(documented) == (2**ell - 2) * (2 ** (n - ell) - 2), f"{len(documented)} sets in the class")
     report = fam.is_induced_saturated(F, [P])
-    ok = (
-        len(F) == 2 * n + 2 ** (ell + 1) - 2 * ell
-        and report.addable in documented
-        and addable == documented
-        and len(addable) == (2**ell - 2) * (2 ** (n - ell) - 2)
-    )
-    first = format_member(min(addable)) if addable else "none"
-    return ok, f"free, not maximal: {len(addable)} addable sets, first {first}"
+    _require(not report.saturated and report.forbidden_copy is None, "reported saturated or not free")
+    _require(report.addable in documented, f"addable {format_member(report.addable)} is outside the class")
+    # the sweep whose first value is_induced_saturated reports
+    addable = set(fam.addable_sets(F, [P]))
+    _require(addable == documented, f"{len(addable)} addable sets, {len(documented)} in the class")
+    return f"free, not maximal: {len(addable)} addable sets, first {format_member(min(addable))}"
 
 
-def _pairs_per_element(members, n: int) -> list[int]:
-    return [
-        sum(1 for a in members for b in members if a & ~b == 1 << (i - 1))
-        for i in range(1, n + 1)
-    ]
-
-
-def _check_unique_pairs(n: int):
+def _unique_pairs(n: int) -> str:
     """For n >= 9 every i lies in exactly one singleton-difference pair, a
     block over a co-transversal, and those pairs orient the complete
-    bipartite digraph.  At n = 4 every member is a 2-set and every i lies in
-    two pairs, one of each orientation; four members still suffice there, as
-    an enumeration of all 4-member families over [4] shows."""
+    bipartite digraph from the blocks to the co-transversals, n edges.
+
+    At n = 4 the construction degenerates: the members are the blocks
+    {1,2}, {3,4} and the co-transversals {1,3}, {2,4}, all 2-sets, and every
+    i lies in two pairs, one of each orientation.  Four members still
+    suffice for unique pairs at n = 4: counting pairs naively over every
+    4-member family over [4] finds 54 with one pair per element, each
+    confirmed by ``singleton_difference_pairs``."""
     F = fam.unique_pair_family(n)
     r = math.isqrt(n)
+    _require(len(F) == 2 * r, f"{len(F)} members, expected {2 * r}")
     blocks = {fam.mask_of(range(s * r + 1, s * r + r + 1)) for s in range(r)}
-    ok = len(F) == 2 * r
-    kinds = set()
+    expected = [(False, True), (True, False)] if n == 4 else [(True, False)]
     for i in range(1, n + 1):
-        pairs = fam.singleton_difference_pairs(F, i)
-        kinds.add(tuple(sorted((F.members[a] in blocks, F.members[b] in blocks) for a, b in pairs)))
+        pairs = sorted((F.members[a] in blocks, F.members[b] in blocks) for a, b in fam.singleton_difference_pairs(F, i))
+        _require(pairs == expected, f"element {i}: pairs {pairs} (A, B a block?), expected {expected}")
     if n == 4:
-        unique = sum(
-            _pairs_per_element(members, 4) == [1] * 4
-            for members in itertools.combinations(range(16), 4)
-        )
-        ok = ok and all(m.bit_count() == 2 for m in F.members)
-        ok = ok and kinds == {((False, True), (True, False))} and unique > 0
-        detail = f"2 pairs per element, one each way; {unique} four-member families have unique pairs"
-        return ok, detail
+        return _unique_pairs_n4(F, blocks)
     D = dg.auxiliary_digraph(F)
     side_a = [j for j, m in enumerate(F.members) if m in blocks]
     side_b = [j for j, m in enumerate(F.members) if m not in blocks]
-    expected = frozenset((a, b) for a in side_a for b in side_b)
-    ok = ok and kinds == {((True, False),)} and D.edges == expected and dg.is_tc_free(D)
-    return ok, "1 pair per element, block over co-transversal"
+    _require(D.edge_count() == n, f"{D.edge_count()} auxiliary edges, expected {n}")
+    _require(D.edges == frozenset((a, b) for a in side_a for b in side_b), "auxiliary digraph is not blocks -> rest")
+    _require(dg.is_tc_free(D), "auxiliary digraph has a transitive cycle")
+    return "1 pair per element, block over co-transversal"
 
 
-def run_checks(fast: bool = False, slow: bool = False):
-    checks = []
+def _unique_pairs_n4(F: fam.SetFamily, blocks: set[int]) -> str:
+    _require(set(F.members) == blocks | {fam.mask_of((1, 3)), fam.mask_of((2, 4))}, "members are not the 2-sets")
+    unique = [
+        members for members in itertools.combinations(range(16), 4)
+        if [sum(a & ~b == 1 << i for a in members for b in members) for i in range(4)] == [1] * 4
+    ]
+    _require(len(unique) == 54, f"{len(unique)} four-member families have unique pairs, expected 54")
+    for members in unique:
+        G = fam.SetFamily.of(4, members)
+        _require(all(len(fam.singleton_difference_pairs(G, i)) == 1 for i in range(1, 5)), f"{members} disagrees")
+    return f"2 pairs per element, one each way; {len(unique)} four-member families have unique pairs"
 
-    def add(label, passed, detail=""):
-        checks.append((label, bool(passed), detail))
 
-    yinv = catalog("Yinv")
-    x = catalog("X")
-    fork = catalog("fork")
-
-    # 1: exact values for Yinv and X
-    r1 = search.exact_sat_star(3, [yinv])
-    add("exact-yinv-n3", r1.exact and r1.lower_bound == 5, f"got {r1.lower_bound}")
-    r2 = search.exact_sat_star(3, [x])
-    add("exact-x-n3", r2.exact and r2.lower_bound == 8, f"got {r2.lower_bound}")
-    if not fast:
-        r3 = search.exact_sat_star(4, [yinv])
-        add("exact-yinv-n4", r3.exact and r3.lower_bound == 6, f"got {r3.lower_bound}")
-    t0 = time.perf_counter()
-    rx = search.exact_sat_star(5, [x])  # 2n + 2 meets x_upper_family(5): no search
-    took = time.perf_counter() - t0
-    ok = rx.exact and rx.lower_bound == 12 and rx.lower_kind == "double_legs" and took < 0.1
-    add("certified-x-n5", ok, f"got {rx.lower_bound} ({rx.lower_kind}) in {took:.3f} s")
-
-    # 2: fork values
-    r4 = search.exact_sat_star(3, [fork])
-    add("exact-fork-n3", r4.exact and r4.lower_bound == 4, f"got {r4.lower_bound}")
-    if not fast:
-        r5 = search.exact_sat_star(4, [fork])
-        add("exact-fork-n4", r5.exact and r5.lower_bound == 5, f"got {r5.lower_bound}")
-
-    # 3: constructions are saturated with the right sizes; --slow adds the
-    # paper's scale, where the twin-class sweep tests n + 1 or (l + 1)(n - l + 1)
-    # orbit representatives
-    y = catalog("Y")
-    sizes = (3, 4) if fast else (3, 4, 5, 6)
-    if slow:
-        sizes += (32, 64)
-    for n in sizes:
-        fy = fam.y_upper_family(n)
-        ok = len(fy) == n + 2 and fam.is_induced_saturated(fy, [y]).saturated
-        add(f"y-upper-n{n}", ok)
-        fx = fam.x_upper_family(n)
-        ok = len(fx) == 2 * n + 2 and fam.is_induced_saturated(fx, [x]).saturated
-        add(f"x-upper-n{n}", ok)
-    params = ((5, 2),) if fast else ((5, 2), (6, 2), (7, 3))
-    wedges = params + ((32, 3), (64, 3)) if slow else params
-    for n, ell in wedges:
-        fw = fam.wedge_upper_family(n, ell)
-        ok = len(fw) == n + 2 ** (ell + 1) - ell - 1 and fam.is_induced_saturated(
-            fw, [catalog("wedge", ell + 1)]
-        ).saturated
-        add(f"wedge-upper-n{n}-l{ell}", ok)
-    for n, ell in params:  # the oracle enumerates 2^n sets
-        add(f"xell-upper-n{n}-l{ell}", *_check_xell_upper(n, ell))
-
-    # 4: the unique-pair family and its auxiliary digraph
-    for n in (4, 9, 16, 25):
-        add(f"unique-pairs-n{n}", *_check_unique_pairs(n))
-
-    # 5: the singleton-difference hypothesis forces the size bound
+def _pair_hypothesis_suite() -> str:
+    """1000 random families over [9], [16] and [25] in which every i has a
+    pair A \\ B = {i}: each has at least 2 sqrt(n - 2) members and a
+    transitive-cycle-free auxiliary digraph."""
     rng = random.Random(20240905)
-    trials = 60 if fast else 1000
-    bad = 0
+    trials = 1000
     for t in range(trials):
         n = (9, 16, 25)[t % 3]
         F = random_hypothesis_family(n, rng)
         rep = search.digraph_lower_bound_check(F)
-        if not rep.hypothesis_holds or len(F) < rep.bound:
-            bad += 1
-        elif not dg.is_tc_free(dg.auxiliary_digraph(F)):
-            bad += 1
-    add("pair-hypothesis-suite", bad == 0, f"{bad} violations in {trials}")
+        _require(rep.hypothesis_holds, f"family {t}: no pair for {rep.failing_i}")
+        _require(len(F) >= 2 * math.sqrt(n - 2), f"family {t}: {len(F)} members over [{n}]")
+        _require(dg.is_tc_free(dg.auxiliary_digraph(F)), f"family {t}: transitive cycle")
+    return f"0 violations in {trials}"
 
-    # 6: extremal digraph bounds
-    top = 4 if not slow else 5
-    for n in range(1, top + 1):
-        count, witness = dg.max_tc_free_edges_bruteforce(n)
-        ok = count <= n * n // 4 + 2 and witness.edge_count() == count and dg.is_tc_free(witness)
-        add(f"brute-max-n{n}", ok, f"max={count}")
+
+def _brute_max(n: int) -> str:
+    count, witness = dg.max_tc_free_edges_bruteforce(n)
+    detail = f"max={count}"
+    _require(count <= n * n // 4 + 2, f"{detail}, over n^2/4 + 2")
+    _require(witness.edge_count() == count and dg.is_tc_free(witness), f"{detail}, bad witness")
+    return detail
+
+
+def _turan() -> str:
     for n in range(1, 21):
         D = dg.turan_bipartite(n)
-        ok = D.edge_count() == n * n // 4 and dg.is_tc_free(D)
-        if not ok:
-            add(f"turan-n{n}", False)
-            break
-    else:
-        add("turan-1..20", True)
+        _require(D.edge_count() == n * n // 4 and dg.is_tc_free(D), f"fails at n = {n}")
+    return ""
 
-    # 7: contraction invariants on random inputs
-    trials = 40 if fast else 500
-    bad = 0
-    for _ in range(trials):
+
+def _contraction_suite() -> str:
+    """Contracting an induced oriented cycle C of a random transitive-cycle-
+    free digraph drops exactly |C| edges and keeps it transitive-cycle-free."""
+    rng = random.Random(1234321)
+    trials = 500
+    for t in range(trials):
         D = random_tc_free_with_cycle(rng)
         C = dg.find_induced_oriented_cycle(D)
         D2 = dg.contract_cycle(D, C)
-        if D2.edge_count() != D.edge_count() - len(C) or not dg.is_tc_free(D2):
-            bad += 1
-    add("contraction-suite", bad == 0, f"{bad} violations in {trials}")
+        _require(D2.edge_count() == D.edge_count() - len(C), f"digraph {t}: wrong edge count")
+        _require(dg.is_tc_free(D2), f"digraph {t}: transitive cycle after contraction")
+    return f"0 violations in {trials}"
 
-    # 8: blow-up of constant-bound witnesses stays saturated
+
+def _blow_up_suite() -> str:
+    """Every exact witness at n = 3 with an element i in no singleton-
+    difference pair stays saturated, at the same size, blown up at i."""
     checked = 0
-    ok = True
-    for P in _dedupe_isomorphic(catalog_small(5)):
+    for P in isomorphism_classes(catalog_small(5)):
         res = search.exact_sat_star(3, [P])
         wit = search.boundedness_witness_check(res.witness, [P])
         if wit is None:
@@ -238,48 +259,87 @@ def run_checks(fast: bool = False, slow: bool = False):
         checked += 1
         i, bound = wit
         lifted = fam.blow_up(res.witness, i)
-        if len(lifted) != len(res.witness) or bound != len(res.witness):
-            ok = False
-        if not fam.is_induced_saturated(lifted, [P]).saturated:
-            ok = False
-    add("blow-up-suite", ok and checked > 0, f"{checked} witnesses checked")
+        _require(bound == len(res.witness) == len(lifted), f"{P.name}: sizes differ")
+        _require(
+            all(a.bit_count() in (b.bit_count(), b.bit_count() - 1) for a, b in zip(res.witness.members, lifted.members)),
+            f"{P.name}: a lifted member is not the member or the member plus one",
+        )
+        _require(fam.is_induced_saturated(lifted, [P]).saturated, f"{P.name}: blow-up is not saturated")
+    _require(checked > 0, "no witness checked")
+    return f"{checked} witnesses checked"
 
-    # 9: legs verdicts and the legs-based injection
-    legged = [x, yinv, catalog("wedge", 1), catalog("wedge", 2), catalog("wedge", 3),
-              catalog("Xell", 1), dual(catalog("Xell", 1))]
-    legless = [catalog("diamond"), y, catalog("N")]
-    ok = all(has_legs(P) is not None for P in legged)
-    ok = ok and all(has_legs(P) is None for P in legless)
-    add("legs-verdicts", ok)
-    ok = True
-    pairs = [(r1, yinv), (r2, x)]
-    if not fast:
-        pairs.append((search.exact_sat_star(4, [yinv]), yinv))
-    for res, P in pairs:
+
+def _legs_verdicts() -> str:
+    legged = [catalog("X"), catalog("Yinv")] + [catalog("wedge", ell) for ell in (1, 2, 3)]
+    for ell in (1, 2):
+        legged += [catalog("Xell", ell), dual(catalog("Xell", ell))]
+    for P in legged:
+        _require(has_legs(P) is not None, f"{P.name or 'a dual Xell'} has no legs")
+    for name in ("diamond", "Y", "N"):
+        _require(has_legs(catalog(name)) is None, f"{name} has legs")
+    return ""
+
+
+def _legs_injection() -> str:
+    for name, n in (("Yinv", 3), ("X", 3), ("Yinv", 4)):
+        P = catalog(name)
+        res = search.exact_sat_star(n, [P])
         m = search.legs_witness_map(res.witness, P)
-        if len(set(m.values())) != res.n or 0 in m.values():
-            ok = False
-    add("legs-injection", ok)
-    if slow:
-        m = search.legs_witness_map(fam.x_upper_family(32), x)
-        ok = m == {i: 1 << (i - 1) for i in range(1, 33)}  # every singleton is a member
-        add("legs-injection-x-upper-n32", ok)
+        _require(len(set(m.values())) == n and 0 not in m.values(), f"{name} at n = {n}")
+    return ""
 
-    # 10: duality of exact values; certified bounds around the deepening
-    # from size 1 (exact search itself starts from them)
-    ok = True
-    ns = (3,) if fast else (3, 4)
-    for P in _dedupe_isomorphic(catalog_small(5)):
-        for n in ns:
-            res = search.exact_sat_star(n, [P])
-            res_dual = search.exact_sat_star(n, [dual(P)])
-            if res.lower_bound != res_dual.lower_bound or not (res.exact and res_dual.exact):
-                ok = False
-            oracle = search._deepen(n, [P])
-            bounds = search.certified_bounds(n, [P])  # upper: at most the greedy size
-            lo, hi = bounds.lower_bound, bounds.upper_bound
-            if not oracle.exact or not lo <= oracle.lower_bound == res.lower_bound <= hi:
-                ok = False
-    add("consistency-web", ok)
 
-    return checks
+def _legs_injection_x_upper_n32() -> str:
+    m = search.legs_witness_map(fam.x_upper_family(32), catalog("X"))
+    _require(m == {i: 1 << (i - 1) for i in range(1, 33)}, "not every singleton maps to itself")
+    return ""
+
+
+def _consistency_web(n: int) -> str:
+    """For each class of ``catalog_small(5)``: P and dual(P) have the same
+    exact value; the deepening from size 1, which uses no certificate,
+    agrees; the legs certificates of P and dual(P) and the certified bounds
+    sandwich it; lex greedy is no smaller."""
+    for P in isomorphism_classes(catalog_small(5)):
+        res = search.exact_sat_star(n, [P])
+        res_dual = search.exact_sat_star(n, [dual(P)])
+        _require(res.exact and res_dual.exact, f"{P.name}: not exact")
+        _require(res.lower_bound == res_dual.lower_bound, f"{P.name}: dual differs")
+        oracle = search._deepen(n, [P])
+        _require(oracle.exact and oracle.lower_bound == res.lower_bound, f"{P.name}: deepening from 1 differs")
+        for Q in (P, dual(P)):
+            cert = search.legs_lower_bound(Q, n)
+            _require(cert is None or cert.bound <= oracle.lower_bound, f"{P.name}: legs bound too high")
+        bounds = search.certified_bounds(n, [P])
+        _require(bounds.lower_bound <= oracle.lower_bound <= bounds.upper_bound, f"{P.name}: outside the certified bounds")
+        _require(len(search.greedy_saturate(n, [P])) >= res.lower_bound, f"{P.name}: greedy below the minimum")
+    return ""
+
+
+CHECKS = [
+    Check("exact-yinv-n3", True, partial(_exact, "Yinv", 3, 5)),
+    Check("exact-x-n3", True, partial(_exact, "X", 3, 8)),
+    Check("exact-yinv-n4", False, partial(_exact, "Yinv", 4, 6)),
+    Check("certified-x-n5", True, _certified_x_n5),
+    Check("exact-fork-n3", True, partial(_exact, "fork", 3, 4)),
+    Check("exact-fork-n4", False, partial(_exact, "fork", 4, 5)),
+    # n = 32 and 64 are the paper's scale: the twin-class sweep tests only
+    # n + 1 or (ell + 1)(n - ell + 1) orbit representatives there
+    *(Check(f"{kind}-upper-n{n}", n <= 4, partial(_upper, kind, n)) for n in (3, 4, 5, 6, 32, 64) for kind in "yx"),
+    *(
+        Check(f"wedge-upper-n{n}-l{ell}", n == 5, partial(_wedge_upper, n, ell))
+        for n, ell in ((5, 2), (6, 2), (7, 3), (32, 3), (64, 3))
+    ),
+    # the xell class is enumerated over all 2^n sets
+    *(Check(f"xell-upper-n{n}-l{ell}", n == 5, partial(_xell_upper, n, ell)) for n, ell in ((5, 2), (6, 2), (7, 3))),
+    *(Check(f"unique-pairs-n{n}", True, partial(_unique_pairs, n)) for n in (4, 9, 16, 25)),
+    Check("pair-hypothesis-suite", False, _pair_hypothesis_suite),
+    *(Check(f"brute-max-n{n}", n <= 4, partial(_brute_max, n)) for n in range(1, 6)),
+    Check("turan-1..20", True, _turan),
+    Check("contraction-suite", True, _contraction_suite),
+    Check("blow-up-suite", True, _blow_up_suite),
+    Check("legs-verdicts", True, _legs_verdicts),
+    Check("legs-injection", True, _legs_injection),
+    Check("legs-injection-x-upper-n32", False, _legs_injection_x_upper_n32),
+    *(Check(f"consistency-web-n{n}", n == 3, partial(_consistency_web, n)) for n in (3, 4)),
+]

@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from posat import Digraph, Poset, isomorphic
+from posat import Digraph, Poset
 
 
 def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | None = None) -> bool:
@@ -37,15 +37,6 @@ def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | Non
         if ok:
             return True
     return False
-
-
-def isomorphism_classes(posets) -> list[Poset]:
-    """The first poset of each isomorphism class, in order."""
-    out = []
-    for P in posets:
-        if not any(isomorphic(P, Q) for Q in out):
-            out.append(P)
-    return out
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posat import Digraph, SetFamily, catalog, from_cover_relations
+from posat import Digraph, SetFamily, catalog, from_cover_relations, verify
 from posat.cli import main
 from posat.errors import ParseError
 from posat.io import (
@@ -139,6 +139,9 @@ def test_cli_satstar_too_large_exit_code(capsys):
     # symmetry tables there exceed their cap: resource limit, exit 4
     assert main(["satstar", "--n", "9", "--poset", "name=diamond"]) == 4
     assert "resource limit" in capsys.readouterr().err
+    # over 2^20 sets greedy is left out, and no construction is saturated
+    assert main(["satstar", "--n", "21", "--poset", "name=diamond"]) == 4
+    assert "resource limit" in capsys.readouterr().err
 
 
 def test_cli_satstar_certified_beyond_the_lane_cap(capsys):
@@ -216,6 +219,14 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["legs", "--poset", str(tmp_path / "missing.txt")]) == 3
     assert main(["digraph", "brute-max", "--n", "9"]) == 4
     assert main(["satstar", "--n", "3", "--poset", "name=chain:1"]) == 2
+
+
+def test_cli_verify_fast(capsys):
+    labels = [c.label for c in verify.CHECKS]
+    assert len(set(labels)) == len(labels)
+    assert main(["verify", "--fast"]) == 0
+    k = sum(c.fast for c in verify.CHECKS)
+    assert capsys.readouterr().out.splitlines()[-1] == f"{k}/{k} checks passed"
 
 
 def test_cli_usage_error_exit_code(capsys):

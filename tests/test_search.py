@@ -20,6 +20,7 @@ from posat import (
     exact_sat_star,
     greedy_saturate,
     is_induced_saturated,
+    isomorphism_classes,
     legs_lower_bound,
     legs_witness_map,
     unique_pair_family,
@@ -30,7 +31,7 @@ from posat import search
 from posat.errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
 from posat.search import LANE_TABLE_CAP, OrbitLanes, _deepen, certified_bounds, lane_table_bytes
 
-from conftest import brute_sat_star_n3, isomorphism_classes
+from conftest import brute_sat_star_n3
 
 
 # -- greedy -------------------------------------------------------------------
@@ -57,20 +58,32 @@ def test_greedy_extends_the_start_family():
 
 def test_greedy_orderings_agree_on_saturation():
     P = catalog("diamond")
-    for config in (
-        SearchConfig(ordering="lex"),
-        SearchConfig(ordering="by_cardinality"),
-        SearchConfig(ordering="random", seed=7),
-    ):
-        F = greedy_saturate(3, [P], config=config)
+    for ordering, seed in (("lex", None), ("by_cardinality", None), ("random", 7)):
+        F = greedy_saturate(3, [P], ordering=ordering, seed=seed)
         assert is_induced_saturated(F, [P]).saturated
 
 
+def test_greedy_sweep_is_capped():
+    # 2^21 sets are over SWEEP_CAP = 2^20: raised before any scan
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        greedy_saturate(21, [catalog("diamond")])
+    # above the cap the certified bounds try the X and Y constructions only
+    res = certified_bounds(64, [catalog("X")])
+    assert res.exact and res.lower_bound == res.upper_bound == 130
+    assert (res.lower_kind, res.upper_kind) == ("double_legs", "x_upper")
+    res = certified_bounds(21, [catalog("Yinv")])
+    assert (res.lower_bound, res.upper_bound, res.upper_kind) == (22, 23, "complement:y_upper")
+    with pytest.raises(TooLarge):
+        certified_bounds(21, [catalog("diamond")])  # no candidate is saturated
+    assert time.monotonic() - t0 < 1
+
+
 def test_random_ordering_requires_a_seed():
-    with pytest.raises(BadParam):
-        SearchConfig(ordering="random")
-    with pytest.raises(BadParam):
-        SearchConfig(ordering="sideways")
+    with pytest.raises(BadParam, match="random ordering needs a seed"):
+        greedy_saturate(3, [catalog("diamond")], ordering="random")
+    with pytest.raises(BadParam, match="unknown ordering"):
+        greedy_saturate(3, [catalog("diamond")], ordering="sideways")
 
 
 # -- exact search -------------------------------------------------------------
