@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import digraph as dg
@@ -184,9 +185,10 @@ def _cmd_verify(args) -> int:
     checks = [c for c in CHECKS if c.fast or not args.fast]
     failed = 0
     for c in checks:
+        began = time.perf_counter()
         ok, detail = c.run()
         suffix = f"  ({detail})" if detail else ""
-        print(f"{'PASS' if ok else 'FAIL'} {c.label}{suffix}")
+        print(f"{'PASS' if ok else 'FAIL'} {c.label}{suffix}  [{time.perf_counter() - began:.2f} s]")
         failed += not ok
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
-from .family import SetFamily, elems_of
+from .family import SetFamily, elems_of, singleton_difference_table
 
 
 @dataclass(frozen=True)
@@ -58,24 +58,13 @@ def auxiliary_digraph(F: SetFamily) -> Digraph:
     is exactly the witness needed for the constant-bound blow-up argument.
     Distinct i always pick distinct pairs, so the result has exactly n edges.
     """
-    members = F.members
-    k = len(members)
     edges = []
-    for i in range(1, F.n + 1):
-        bit = 1 << (i - 1)
-        found = None
-        for a in range(k):
-            for b in range(k):
-                if a != b and members[a] & ~members[b] == bit:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if found is None:
+    for i, pairs in enumerate(singleton_difference_table(F), 1):
+        if not pairs:
             raise HypothesisFails(i)
-        edges.append(found)
-    labels = tuple("{" + ",".join(map(str, elems_of(m))) + "}" for m in members)
-    return Digraph.of(k, edges, labels)
+        edges.append(pairs[0])
+    labels = tuple("{" + ",".join(map(str, elems_of(m))) + "}" for m in F.members)
+    return Digraph.of(len(F.members), edges, labels)
 
 
 # -- transitive cycles -------------------------------------------------------
@@ -102,22 +91,44 @@ def _bfs_path(adj: list[int], src: int, dst: int) -> list[int] | None:
     return None
 
 
+def _transitive_chord(adj: list[int], edges) -> tuple[int, int] | None:
+    """The first of ``edges`` (u, v), in the order given, whose endpoints are
+    joined by a path that avoids it in the digraph with out-neighbour rows
+    ``adj``, or None.  Such a path has length >= 2, so the edge is the chord
+    of a transitive cycle.  ``adj`` is left as it was."""
+    for u, v in edges:
+        row = adj[u]
+        adj[u] = row & ~(1 << v)
+        # vertices reachable from u, one bitset frontier per BFS level
+        seen = frontier = adj[u]
+        while frontier and not seen >> v & 1:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & ~seen
+            seen |= frontier
+        adj[u] = row
+        if seen >> v & 1:
+            return u, v
+    return None
+
+
 def has_transitive_cycle(D: Digraph) -> list[int] | None:
     """A transitive-cycle witness [v1, ..., vk] (the path; the chord is
     v1 -> vk), or None.
 
-    For each edge (u, v): any u -> v path in D minus that edge has length
-    >= 2, and together with the edge forms a transitive cycle.  Edges are
-    scanned in sorted order so the witness is deterministic.
+    The chord is the first edge in sorted order that closes a transitive
+    cycle, and the path is a shortest one from v1 to vk that avoids it.
     """
     adj = D.out_adj()
-    for u, v in D.sorted_edges():
-        adj[u] &= ~(1 << v)
-        path = _bfs_path(adj, u, v)
-        adj[u] |= 1 << v
-        if path is not None:
-            return path
-    return None
+    chord = _transitive_chord(adj, D.sorted_edges())
+    if chord is None:
+        return None
+    u, v = chord
+    adj[u] &= ~(1 << v)
+    return _bfs_path(adj, u, v)
 
 
 def find_induced_oriented_cycle(D: Digraph) -> list[int] | None:
@@ -185,31 +196,6 @@ def turan_bipartite(n: int) -> Digraph:
     return Digraph.of(n, edges)
 
 
-def _tc_free_bitset(adj: list[int], edges: list[tuple[int, int]]) -> bool:
-    """Exact transitive-cycle-freeness on bitmask adjacency rows."""
-    for x, y in edges:
-        saved = adj[x]
-        adj[x] &= ~(1 << y)
-        # reachability x -> y
-        seen = adj[x]
-        frontier = seen
-        hit = False
-        while frontier and not hit:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-            hit = bool(seen >> y & 1)
-        adj[x] = saved
-        if hit:
-            return False
-    return True
-
-
 # Largest vertex count of the exhaustive search: on a 2-core VM n = 6 took
 # 0.67 s and n = 7 took 37.8 s.
 BRUTEFORCE_CAP = 5
@@ -255,7 +241,7 @@ def max_tc_free_edges_bruteforce(n: int) -> tuple[int, Digraph]:
                 break
         new_adj = adj.copy()
         new_adj[u] |= bit_v
-        if suspect and not _tc_free_bitset(new_adj, chosen + [(u, v)]):
+        if suspect and _transitive_chord(new_adj, chosen + [(u, v)]) is not None:
             return None
         # incremental closure update
         new_reach = reach.copy()
@@ -296,4 +282,4 @@ def max_tc_free_edges_bruteforce(n: int) -> tuple[int, Digraph]:
 
 
 def is_tc_free(D: Digraph) -> bool:
-    return has_transitive_cycle(D) is None
+    return _transitive_chord(D.out_adj(), D.edges) is None

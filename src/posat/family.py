@@ -411,12 +411,22 @@ def unique_pair_family(n: int) -> SetFamily:
     return fam
 
 
+def singleton_difference_table(F: SetFamily) -> list[list[tuple[int, int]]]:
+    """At index i - 1, for every i in [n], all ordered member-index pairs
+    (a, b) with A \\ B = {i}, in lexicographic index order: one pass over
+    the ordered member pairs, keeping those whose A & ~B has one bit set."""
+    table = [[] for _ in range(F.n)]
+    for a, A in enumerate(F.members):
+        for b, B in enumerate(F.members):
+            diff = A & ~B
+            if diff and not diff & (diff - 1):
+                table[diff.bit_length() - 1].append((a, b))
+    return table
+
+
 def singleton_difference_pairs(F: SetFamily, i: int) -> list[tuple[int, int]]:
     """All ordered member-index pairs (a, b) with A \\ B = {i} (1-based i),
-    in lexicographic index order."""
-    bit = 1 << (i - 1)
-    out = []
-    for a, b in itertools.permutations(range(len(F.members)), 2):
-        if F.members[a] & ~F.members[b] == bit:
-            out.append((a, b))
-    return out
+    in lexicographic index order; row i - 1 of ``singleton_difference_table``."""
+    if not 1 <= i <= F.n:
+        raise BadIndex(f"i must be in 1..{F.n}")
+    return singleton_difference_table(F)[i - 1]

@@ -24,7 +24,7 @@ from .family import (
     contains_induced_copy,
     is_induced_saturated,
     iter_induced_embeddings,
-    singleton_difference_pairs,
+    singleton_difference_table,
     wedge_upper_family,
     x_upper_family,
     y_upper_family,
@@ -34,7 +34,6 @@ from .poset import LegsWitness, Poset, dual, has_legs, iter_legs_witnesses
 
 @dataclass(frozen=True)
 class SearchConfig:
-    size_limit: int | None = None
     time_limit: float | None = None
     symmetry_reduction: bool | None = None  # None = auto (on for n >= 4)
 
@@ -243,7 +242,6 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
             f"permutation lanes, over the {LANE_TABLE_CAP >> 20} MiB cap"
         )
     upper = bounds.upper_bound
-    size_cap = config.size_limit if config.size_limit is not None else upper
 
     total = 1 << n
     rows = InclusionRows()
@@ -286,7 +284,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     try:
         lanes = OrbitLanes.build(n, deadline) if use_sym else None
-        for k in range(proven, min(upper, size_cap + 1)):
+        for k in range(proven, upper):
             if dfs(0, k, 0, 0, 0):
                 fam = SetFamily.of(n, rows.members)
                 return SatStarResult(n, forbidden, k, proven_kind, k, "exhaustive", fam, exact=True)
@@ -338,11 +336,14 @@ class PairCoverReport:
 
 
 def digraph_lower_bound_check(F: SetFamily) -> PairCoverReport:
+    """The smallest i in [n] with no member pair (A, B) with A \\ B = {i},
+    read from ``singleton_difference_table``; when there is none, the bound
+    len(F) >= 2*sqrt(n-2) that the pairs imply through the transitive-cycle-
+    free auxiliary digraph.  That bound is a theorem and is asserted."""
     bound = 2.0 * math.sqrt(max(F.n - 2, 0))
-    for i in range(1, F.n + 1):
-        if not singleton_difference_pairs(F, i):
+    for i, pairs in enumerate(singleton_difference_table(F), 1):
+        if not pairs:
             return PairCoverReport(False, i, bound)
-    # this inequality is a theorem; it can never fail on a real family
     assert len(F) >= bound, (len(F), F.n)
     return PairCoverReport(True, None, bound)
 
@@ -357,12 +358,11 @@ def boundedness_witness_check(F: SetFamily, forbidden) -> tuple[int, int] | None
     forbidden = check_forbidden(forbidden)
     if not is_induced_saturated(F, list(forbidden)).saturated:
         raise NotSaturated("family is not induced saturated for the given posets")
-    for i in range(1, F.n + 1):
-        if not singleton_difference_pairs(F, i):
-            lifted = blow_up(F, i)
-            assert is_induced_saturated(lifted, list(forbidden)).saturated
-            return i, len(F)
-    return None
+    i = digraph_lower_bound_check(F).failing_i
+    if i is None:
+        return None
+    assert is_induced_saturated(blow_up(F, i), list(forbidden)).saturated
+    return i, len(F)
 
 
 def legs_witness_map(F: SetFamily, P: Poset) -> dict[int, int]:

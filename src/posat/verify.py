@@ -169,14 +169,14 @@ def _unique_pairs(n: int) -> str:
     i lies in two pairs, one of each orientation.  Four members still
     suffice for unique pairs at n = 4: counting pairs naively over every
     4-member family over [4] finds 54 with one pair per element, each
-    confirmed by ``singleton_difference_pairs``."""
+    confirmed by ``singleton_difference_table``."""
     F = fam.unique_pair_family(n)
     r = math.isqrt(n)
     _require(len(F) == 2 * r, f"{len(F)} members, expected {2 * r}")
     blocks = {fam.mask_of(range(s * r + 1, s * r + r + 1)) for s in range(r)}
     expected = [(False, True), (True, False)] if n == 4 else [(True, False)]
-    for i in range(1, n + 1):
-        pairs = sorted((F.members[a] in blocks, F.members[b] in blocks) for a, b in fam.singleton_difference_pairs(F, i))
+    for i, pairs in enumerate(fam.singleton_difference_table(F), 1):
+        pairs = sorted((F.members[a] in blocks, F.members[b] in blocks) for a, b in pairs)
         _require(pairs == expected, f"element {i}: pairs {pairs} (A, B a block?), expected {expected}")
     if n == 4:
         return _unique_pairs_n4(F, blocks)
@@ -197,8 +197,8 @@ def _unique_pairs_n4(F: fam.SetFamily, blocks: set[int]) -> str:
     ]
     _require(len(unique) == 54, f"{len(unique)} four-member families have unique pairs, expected 54")
     for members in unique:
-        G = fam.SetFamily.of(4, members)
-        _require(all(len(fam.singleton_difference_pairs(G, i)) == 1 for i in range(1, 5)), f"{members} disagrees")
+        table = fam.singleton_difference_table(fam.SetFamily.of(4, members))
+        _require(all(len(pairs) == 1 for pairs in table), f"{members} disagrees")
     return f"2 pairs per element, one each way; {len(unique)} four-member families have unique pairs"
 
 

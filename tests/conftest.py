@@ -82,17 +82,28 @@ def brute_sat_star_n3(P: Poset) -> int:
     return 8
 
 
-def brute_has_transitive_cycle(D: Digraph) -> bool:
-    """Scan every vertex sequence of length >= 3 for a path plus chord."""
-    edges = D.edges
+def brute_first_transitive_cycle(D: Digraph) -> tuple[tuple[int, int], int] | None:
+    """The first edge in sorted order that is the chord of a transitive
+    cycle, and the fewest vertices of such a cycle, by scanning every vertex
+    sequence from its tail to its head; None when there is no such edge."""
     n = D.vertex_count
-    for k in range(3, n + 1):
-        for seq in itertools.permutations(range(n), k):
-            if (seq[0], seq[-1]) in edges and all(
-                (seq[j], seq[j + 1]) in edges for j in range(k - 1)
-            ):
-                return True
-    return False
+    for u, v in sorted(D.edges):
+        for k in range(3, n + 1):
+            for inner in itertools.permutations(set(range(n)) - {u, v}, k - 2):
+                seq = (u, *inner, v)
+                if all((seq[j], seq[j + 1]) in D.edges for j in range(k - 1)):
+                    return (u, v), k
+    return None
+
+
+def brute_singleton_difference_pairs(members: tuple[int, ...], i: int) -> list[tuple[int, int]]:
+    """Every ordered index pair (a, b) with members[a] \\ members[b] = {i},
+    in lexicographic order."""
+    return [
+        (a, b)
+        for a, b in itertools.permutations(range(len(members)), 2)
+        if members[a] & ~members[b] == 1 << (i - 1)
+    ]
 
 
 def brute_max_tc_free(n: int) -> int:
@@ -104,6 +115,6 @@ def brute_max_tc_free(n: int) -> int:
         chosen = [e for j, e in enumerate(all_edges) if bits >> j & 1]
         if len(chosen) <= best:
             continue
-        if not brute_has_transitive_cycle(Digraph.of(n, chosen)):
+        if brute_first_transitive_cycle(Digraph.of(n, chosen)) is None:
             best = len(chosen)
     return best

@@ -12,6 +12,7 @@ from posat import (
     SetFamily,
     auxiliary_digraph,
     contract_cycle,
+    digraph_lower_bound_check,
     find_induced_oriented_cycle,
     has_transitive_cycle,
     is_tc_free,
@@ -22,7 +23,11 @@ from posat import (
 from posat.digraph import is_induced_oriented_cycle
 from posat.errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
 
-from conftest import brute_has_transitive_cycle, brute_max_tc_free
+from conftest import (
+    brute_first_transitive_cycle,
+    brute_max_tc_free,
+    brute_singleton_difference_pairs,
+)
 
 
 def digraphs(max_v=6):
@@ -77,6 +82,24 @@ def test_auxiliary_digraph_reports_failing_element():
     assert exc.value.index == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.builds(SetFamily.of, st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+    )
+)
+def test_auxiliary_digraph_matches_a_naive_pair_scan(F):
+    pairs = [brute_singleton_difference_pairs(F.members, i) for i in range(1, F.n + 1)]
+    uncovered = next((i for i, p in enumerate(pairs, 1) if not p), None)
+    assert digraph_lower_bound_check(F).failing_i == uncovered
+    if uncovered is None:
+        assert auxiliary_digraph(F).edges == frozenset(p[0] for p in pairs)
+    else:
+        with pytest.raises(HypothesisFails) as exc:
+            auxiliary_digraph(F)
+        assert exc.value.index == uncovered
+
+
 def test_auxiliary_digraph_has_n_edges_when_defined():
     F = unique_pair_family(9)
     D = auxiliary_digraph(F)
@@ -90,12 +113,15 @@ def test_auxiliary_digraph_has_n_edges_when_defined():
 @given(digraphs(5))
 def test_tc_detection_matches_bruteforce(D):
     witness = has_transitive_cycle(D)
-    assert (witness is not None) == brute_has_transitive_cycle(D)
+    first = brute_first_transitive_cycle(D)
+    assert (witness is None) == (first is None) == is_tc_free(D)
     if witness is not None:
         k = len(witness)
         assert k >= 3
         assert (witness[0], witness[-1]) in D.edges
         assert all((witness[j], witness[j + 1]) in D.edges for j in range(k - 1))
+        # the first chord in sorted edge order, closed by a shortest path
+        assert first == ((witness[0], witness[-1]), k)
 
 
 def test_double_edge_is_not_a_transitive_cycle():

@@ -53,7 +53,7 @@ from posat.family import (
 )
 from posat.poset import has_pinned_copy, induced_embeddings
 
-from conftest import brute_has_induced_copy, vf2_embeddings
+from conftest import brute_has_induced_copy, brute_singleton_difference_pairs, vf2_embeddings
 
 
 def families(max_n=5, max_members=10):
@@ -477,10 +477,11 @@ def test_unique_pair_family_has_unique_pairs(n):
 def test_singleton_difference_pairs_match_definition(F, i):
     if i > F.n:
         return
-    bit = 1 << (i - 1)
-    want = [
-        (a, b)
-        for a, b in itertools.permutations(range(len(F.members)), 2)
-        if F.members[a] & ~F.members[b] == bit
-    ]
-    assert singleton_difference_pairs(F, i) == want
+    assert singleton_difference_pairs(F, i) == brute_singleton_difference_pairs(F.members, i)
+
+
+def test_singleton_difference_pairs_rejects_out_of_range_index():
+    F = unique_pair_family(9)
+    for i in (0, -1, 10):
+        with pytest.raises(BadIndex, match=r"i must be in 1\.\.9"):
+            singleton_difference_pairs(F, i)

@@ -184,15 +184,6 @@ def test_symmetry_tables_are_capped_before_any_work():
     assert (res.lower_bound, res.upper_bound) == (1, 10)
 
 
-def test_size_limit_caps_the_search():
-    res = exact_sat_star(3, [catalog("diamond")], SearchConfig(size_limit=2))
-    assert not res.exact
-    assert res.lower_bound == 3  # sizes 1 and 2 exhausted
-    # every size below greedy's 4 searched out: the answer is exact
-    res = exact_sat_star(3, [catalog("diamond")], SearchConfig(size_limit=3))
-    assert res.exact and res.lower_bound == res.upper_bound == 4
-
-
 def test_multiple_forbidden_posets_exact():
     chain3, anti3 = catalog("chain", 3), catalog("antichain", 3)
     res = exact_sat_star(3, [chain3, anti3])
