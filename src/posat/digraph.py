@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
-from .family import SetFamily, elems_of, singleton_difference_table
+from .family import SetFamily, singleton_difference_table
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,6 @@ class Digraph:
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -28,12 +27,10 @@ class Digraph:
                 raise BadParam(f"loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise BadParam(f"edge ({u}, {v}) out of range")
-        if self.labels is not None and len(self.labels) != self.vertex_count:
-            raise BadParam("label count != vertex count")
 
     @classmethod
-    def of(cls, vertex_count: int, edges, labels=None) -> "Digraph":
-        return cls(vertex_count, frozenset(edges), tuple(labels) if labels else None)
+    def of(cls, vertex_count: int, edges) -> "Digraph":
+        return cls(vertex_count, frozenset(edges))
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -63,8 +60,7 @@ def auxiliary_digraph(F: SetFamily) -> Digraph:
         if not pairs:
             raise HypothesisFails(i)
         edges.append(pairs[0])
-    labels = tuple("{" + ",".join(map(str, elems_of(m))) + "}" for m in F.members)
-    return Digraph.of(len(F.members), edges, labels)
+    return Digraph.of(len(F.members), edges)
 
 
 # -- transitive cycles -------------------------------------------------------

@@ -152,8 +152,7 @@ def format_digraph(D: Digraph) -> str:
 def digraph_dot(D: Digraph) -> str:
     lines = ["digraph d {"]
     for v in range(D.vertex_count):
-        label = D.labels[v] if D.labels else str(v + 1)
-        lines.append(f'  v{v + 1} [label="{label}"];')
+        lines.append(f'  v{v + 1} [label="{v + 1}"];')
     for u, v in D.sorted_edges():
         lines.append(f"  v{u + 1} -> v{v + 1};")
     lines.append("}")

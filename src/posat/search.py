@@ -35,7 +35,7 @@ from .poset import LegsWitness, Poset, dual, has_legs, iter_legs_witnesses
 @dataclass(frozen=True)
 class SearchConfig:
     time_limit: float | None = None
-    symmetry_reduction: bool | None = None  # None = auto (on for n >= 4)
+    symmetry_reduction: bool = True
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,11 @@ class SatStarResult:
 
 class _TimeUp(Exception):
     pass
+
+
+# The largest ground set the exact search starts on when the certified bounds
+# stay apart: the tree grows with the 2^n masks, and every leaf checks them all.
+SEARCH_CAP = 8
 
 
 def greedy_saturate(
@@ -101,34 +106,24 @@ def greedy_saturate(
     return SetFamily.of(n, rows.members)
 
 
-# Bytes a lane table may take; n = 8 (about 330 MB) fits, n = 9 (12 GB) not.
-LANE_TABLE_CAP = 1 << 30
-
-
-def lane_table_bytes(n: int) -> int:
-    """Size of the lane table at ground-set size n: n! lanes of 2^n bits
-    (at least a byte) for each of the 2^n masks."""
-    return math.factorial(n) * (1 << n) * (((1 << n) + 7) // 8)
-
-
 @dataclass(frozen=True)
-class OrbitLanes:
-    """The image of every mask under every ground-set permutation, packed
-    into one int per mask: lane g of ``image[m]`` (2^n bits, at least a
-    byte) has bit g(m) set."""
+class TranspositionLanes:
+    """The image of every mask under every transposition (i j), i < j, of
+    the ground set, in lexicographic order, packed into one int per mask:
+    lane t of ``image[m]`` has bit g_t(m) set."""
 
     image: tuple[int, ...]
     ones: int  # bit 0 of every lane
 
     def canonical(self, images: int, marks: int) -> bool:
-        """True iff the mask set S is lexicographically smallest in its
-        orbit, given ``images``, the OR of ``image[m]`` over m in S, and
-        ``marks``, S copied into every lane.
+        """True iff no transposition maps the mask set S to a
+        lexicographically smaller set, given ``images``, the OR of
+        ``image[m]`` over m in S, and ``marks``, S copied into every lane.
 
         For equal-size sets, sorted(g(S)) < sorted(S) iff the lowest mask of
-        S xor g(S) lies in g(S), so S is canonical iff in every lane of
+        S xor g(S) lies in g(S), so S passes iff in every lane of
         x = images ^ marks the lowest set bit, if any, is marked.  Every
-        permutation fixes mask 0, so bit 0 of each lane of x is clear:
+        transposition fixes mask 0, so bit 0 of each lane of x is clear:
         subtracting ``ones``, plus the borrow out of a clear lane below,
         clears the lowest set bit of each nonzero lane and borrows no
         further.
@@ -137,30 +132,17 @@ class OrbitLanes:
         return not x & ~(x - self.ones) & ~marks
 
     @classmethod
-    def build(cls, n: int, deadline: float | None = None) -> "OrbitLanes":
-        """The lanes of every mask over [n] (n <= 8), checking the deadline
-        once per permutation and once per mask."""
-        tables = []  # per permutation, the image of every mask as a byte
-        for perm in itertools.permutations(range(n)):
-            _check_deadline(deadline)
-            table = [0]
-            for i in range(n):
-                bit = 1 << perm[i]
-                table += [t | bit for t in table]
-            tables.append(bytes(table))
-        lane_bytes = ((1 << n) + 7) // 8
-        one_hot = [(1 << v).to_bytes(lane_bytes, "little") for v in range(1 << n)]
-        image = []
-        began = time.monotonic()
-        for column in zip(*tables):
-            _check_deadline(deadline)
-            image.append(int.from_bytes(b"".join(map(one_hot.__getitem__, column)), "little"))
-            # The search needs the whole table: give up now, holding one
-            # mask's lanes, when at the first mask's rate the rest cannot be
-            # packed before the deadline (about 1.3 MB a mask at n = 8).
-            if deadline is not None and len(image) == 1:
-                _check_deadline(deadline - (time.monotonic() - began) * ((1 << n) - 1))
-        return cls(tuple(image), int.from_bytes(one_hot[0] * len(tables), "little"))
+    def build(cls, n: int) -> "TranspositionLanes":
+        """The lanes of every mask over [n]: C(n, 2) lanes of 2^n bits (at
+        least a byte) each."""
+        # (i j) moves m iff m has exactly one of the two bits
+        swaps = [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
+        one_hot = [(1 << v).to_bytes(((1 << n) + 7) // 8, "little") for v in range(1 << n)]
+        image = tuple(
+            int.from_bytes(b"".join(one_hot[m ^ s if 0 < m & s < s else m] for s in swaps), "little")
+            for m in range(1 << n)
+        )
+        return cls(image, int.from_bytes(one_hot[0] * len(swaps), "little"))
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -206,15 +188,17 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     blocked (adding it would put it in a forbidden copy) and passes the
     blocked masks to its children: an induced copy survives added members,
     so a mask blocked at a node stays blocked below it.  The free masks
-    become children, pruned (optionally) when the extended family is not
-    the lexicographically smallest member of its orbit under ground-set
-    permutations; the test is ``OrbitLanes.canonical`` on the orbit images
-    the search carries, one OR per push.  Leaves are accepted iff no mask
-    outside the family and not already known to be blocked can be added.
-    On hitting the time limit the result carries the best sound bounds so
-    far with ``exact=False``.  With symmetry reduction on and the bounds
-    apart, a ground set whose lane table would exceed ``LANE_TABLE_CAP``
-    (n >= 9) raises TooLarge before any search.
+    become children, pruned (unless symmetry reduction is off) when some
+    transposition of the ground set maps the extended family to a
+    lexicographically smaller one; the test is
+    ``TranspositionLanes.canonical`` on the images the search carries, one
+    OR per push.  That is weaker than full orbit canonicity, and sound: the
+    witness returned, the lexicographically first maximal family, is
+    smallest in its orbit, and so is every prefix of it.  Leaves are
+    accepted iff no mask outside the family and not already known to be
+    blocked can be added.  On hitting the time limit the result carries the
+    best sound bounds so far with ``exact=False``.  With the bounds apart,
+    n > ``SEARCH_CAP`` raises TooLarge before any search.
     """
     return _deepen(n, forbidden, config, certified_bounds)
 
@@ -228,7 +212,6 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     """The search from ``start_bounds``; the default, 1 up to lex greedy, is a test oracle."""
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
-    use_sym = n >= 4 if config.symmetry_reduction is None else config.symmetry_reduction
     deadline = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
@@ -236,11 +219,8 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     bounds = start_bounds(n, forbidden)
     if bounds.exact:
         return bounds
-    if use_sym and lane_table_bytes(n) > LANE_TABLE_CAP:
-        raise TooLarge(
-            f"symmetry reduction at n = {n} needs {lane_table_bytes(n) >> 20} MiB of "
-            f"permutation lanes, over the {LANE_TABLE_CAP >> 20} MiB cap"
-        )
+    if n > SEARCH_CAP:
+        raise TooLarge(f"bounds {bounds.lower_bound}..{bounds.upper_bound} leave a search at n = {n}, over the cap of {SEARCH_CAP}")
     upper = bounds.upper_bound
 
     total = 1 << n
@@ -281,9 +261,9 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
             rows.pop()
         return False
 
+    lanes = TranspositionLanes.build(n) if config.symmetry_reduction else None
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     try:
-        lanes = OrbitLanes.build(n, deadline) if use_sym else None
         for k in range(proven, upper):
             if dfs(0, k, 0, 0, 0):
                 fam = SetFamily.of(n, rows.members)

@@ -64,15 +64,25 @@ def check(label: str) -> tuple[bool, str]:
 
 def random_hypothesis_family(n: int, rng: random.Random) -> fam.SetFamily:
     """Random family repaired so every i in [n] has a pair A \\ B = {i}."""
-    full = fam.full_mask(n)
-    members = {rng.randrange(1 << n) for _ in range(rng.randrange(2, 6))}
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        if any(a & ~b == bit for a in members for b in members):
-            continue
-        b = rng.randrange(1 << n) & ~bit & full
-        members.add(b)
-        members.add(b | bit)
+    members: set[int] = set()
+    covered = 0  # bit i - 1 is set once some member pair has A \ B = {i}
+
+    def add(x: int) -> None:
+        nonlocal covered
+        if x not in members:
+            for y in members:
+                for d in (x & ~y, y & ~x):
+                    if d & (d - 1) == 0:
+                        covered |= d
+            members.add(x)
+
+    for _ in range(rng.randrange(2, 6)):
+        add(rng.randrange(1 << n))
+    for i in range(n):
+        if not covered >> i & 1:
+            b = rng.randrange(1 << n) & ~(1 << i)
+            add(b)
+            add(b | 1 << i)
     return fam.SetFamily.of(n, members)
 
 

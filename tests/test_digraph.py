@@ -52,8 +52,6 @@ def test_digraph_validation():
         Digraph.of(2, [(0, 0)])
     with pytest.raises(BadParam):
         Digraph.of(2, [(0, 5)])
-    with pytest.raises(BadParam):
-        Digraph(2, frozenset(), labels=("a",))
 
 
 # -- auxiliary digraph --------------------------------------------------------
@@ -65,7 +63,6 @@ def test_auxiliary_digraph_hand_family():
     D = auxiliary_digraph(F)
     assert D.vertex_count == 3
     assert D.edges == frozenset({(0, 1), (1, 0)})
-    assert D.labels == ("{1}", "{2}", "{1,2}")
 
 
 def test_auxiliary_digraph_picks_lex_smallest_pair():

@@ -135,8 +135,8 @@ def test_cli_satstar_bounds(capsys):
 
 
 def test_cli_satstar_too_large_exit_code(capsys):
-    # diamond's certified bounds at n = 9 (1..10) stay open and the
-    # symmetry tables there exceed their cap: resource limit, exit 4
+    # diamond's certified bounds at n = 9 (1..10) stay open, and the exact
+    # search stops at n = 8 (SEARCH_CAP): resource limit, exit 4
     assert main(["satstar", "--n", "9", "--poset", "name=diamond"]) == 4
     assert "resource limit" in capsys.readouterr().err
     # over 2^20 sets greedy is left out, and no construction is saturated
@@ -145,7 +145,7 @@ def test_cli_satstar_too_large_exit_code(capsys):
 
 
 def test_cli_satstar_certified_beyond_the_lane_cap(capsys):
-    # fork's certified bounds meet at n = 9, so no lane table is needed
+    # fork's certified bounds meet at n = 9, so no search is needed
     assert main(["satstar", "--n", "9", "--poset", "name=fork"]) == 0
     out = capsys.readouterr().out
     assert "lower=10" in out and "exact=true" in out

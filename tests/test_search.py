@@ -29,7 +29,7 @@ from posat import (
 )
 from posat import search
 from posat.errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
-from posat.search import LANE_TABLE_CAP, OrbitLanes, _deepen, certified_bounds, lane_table_bytes
+from posat.search import TranspositionLanes, _deepen, certified_bounds
 
 from conftest import brute_sat_star_n3
 
@@ -122,21 +122,34 @@ def test_symmetry_reduction_keeps_the_witness_at_n3():
         assert plain.witness == pruned.witness
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def permuted(perm, masks):
+    """The masks with ground element i renamed perm[i], sorted."""
+    return sorted(sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in masks)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_packed_lanes_match_sorting_under_every_permutation(n):
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        tables.append([sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)])
-    lanes = OrbitLanes.build(n)
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        swaps.append(perm)
+    lanes = TranspositionLanes.build(n)
+    assert len(lanes.image) == 1 << n and lanes.ones.bit_count() == len(swaps) == n * (n - 1) // 2
     rng = random.Random(n)
     for _ in range(300):
-        chosen = tuple(sorted(rng.sample(range(1 << n), rng.randint(1, min(8, 1 << n)))))
-        naive = all(tuple(sorted(table[m] for m in chosen)) >= chosen for table in tables)
+        # masks below a random 2^j, so that some sets are smallest in their orbit
+        span = 1 << rng.randint(1, n)
+        chosen = sorted(rng.sample(range(span), rng.randint(1, min(8, span))))
         images = marks = 0
         for m in chosen:
             images |= lanes.image[m]
             marks |= lanes.ones << m
-        assert lanes.canonical(images, marks) == naive
+        passes = lanes.canonical(images, marks)
+        assert passes == all(permuted(perm, chosen) >= chosen for perm in swaps)
+        # the soundness the witnesses rely on: a set that is smallest under
+        # all n! permutations passes, so a set that fails is not smallest
+        assert passes or any(permuted(perm, chosen) < chosen for perm in itertools.permutations(range(n)))
 
 
 def test_time_limit_returns_sound_bounds():
@@ -147,24 +160,22 @@ def test_time_limit_returns_sound_bounds():
 
 
 def test_time_limit_covers_the_symmetry_tables():
-    # at n = 8 the permutation tables alone take seconds to build; diamond
-    # has no legs on either side, so its bounds (1..9) leave a search to do
+    # diamond has no legs on either side, so its bounds at n = 8 (1..9)
+    # leave a search that cannot finish within the limit
     t0 = time.monotonic()
     res = exact_sat_star(8, [catalog("diamond")], SearchConfig(time_limit=1))
     assert time.monotonic() - t0 < 3
     assert not res.exact
     assert res.lower_bound <= 9 <= res.upper_bound
-    # fork's dual has legs: n + 1 = 9 meets greedy, so no table is built
+    # fork's dual has legs: n + 1 = 9 meets greedy, so no search starts
     res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
     assert res.exact and res.lower_bound == res.upper_bound == 9
     assert res.lower_kind == "legs" and res.upper_kind == "greedy"
 
 
 def test_symmetry_tables_are_capped_before_any_work():
-    # 40320 * 256 lanes of 32 bytes fit under the cap; n = 9 needs about 12 GB
-    assert lane_table_bytes(8) == 40320 * 256 * 32 <= LANE_TABLE_CAP < lane_table_bytes(9)
-    # the cap applies only when a search is left: fork's legs bound n + 1
-    # meets greedy at n = 9, so no lane table is needed
+    # the cap (n <= SEARCH_CAP = 8) applies only when a search is left:
+    # fork's legs bound n + 1 meets greedy at n = 9
     res = exact_sat_star(9, [catalog("fork")])
     assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
     t0 = time.monotonic()
@@ -172,16 +183,16 @@ def test_symmetry_tables_are_capped_before_any_work():
         exact_sat_star(9, [catalog("diamond")])
     assert time.monotonic() - t0 < 0.1
     # the certified bounds come first: at n = 12 lex greedy alone scans the
-    # 4096 masks (about 0.08 s), still far from any lane-table work
+    # 4096 masks (about 0.08 s) before the cap applies
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
         exact_sat_star(12, [catalog("diamond")], SearchConfig(symmetry_reduction=True))
     assert time.monotonic() - t0 < 0.5
-    # without symmetry tables there is nothing to cap; diamond's bounds at
-    # n = 9 (1..10) stay open, so the search starts and runs out of time
-    res = exact_sat_star(9, [catalog("diamond")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
-    assert not res.exact
-    assert (res.lower_bound, res.upper_bound) == (1, 10)
+    # the cap does not depend on the symmetry reduction
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(9, [catalog("diamond")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
+    assert time.monotonic() - t0 < 0.1
 
 
 def test_multiple_forbidden_posets_exact():
