@@ -35,6 +35,18 @@ def _load_family(path: str) -> fam.SetFamily:
     return pio.parse_family(Path(path).read_text())
 
 
+def _load_digraph(path: str) -> dg.Digraph:
+    return pio.parse_digraph(Path(path).read_text())
+
+
+def _cycle(text: str) -> list[int]:
+    """Comma-separated 1-based vertices, as 0-based indices."""
+    try:
+        return [int(v) - 1 for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated vertex list: {text!r}")
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -78,12 +90,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("digraph", help="digraph operations")
-    p.add_argument("action", choices=["aux", "tc-check", "contract", "turan", "brute-max"])
-    p.add_argument("--family")
-    p.add_argument("--digraph")
-    p.add_argument("--cycle", help="comma-separated 1-based vertices")
-    p.add_argument("--n", type=int)
-    p.add_argument("--out")
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("aux", help="auxiliary digraph of a family")
+    a.add_argument("--family", required=True)
+    a.add_argument("--out")
+    a.set_defaults(run=_digraph_aux)
+    a = actions.add_parser("tc-check", help="transitive-cycle verdict")
+    a.add_argument("--digraph", required=True)
+    a.set_defaults(run=_digraph_tc_check)
+    a = actions.add_parser("contract", help="contract an induced oriented cycle")
+    a.add_argument("--digraph", required=True)
+    a.add_argument("--cycle", type=_cycle, required=True, help="comma-separated 1-based vertices")
+    a.add_argument("--out")
+    a.set_defaults(run=_digraph_contract)
+    a = actions.add_parser("turan", help="bipartite transitive-cycle-free digraph")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--out")
+    a.set_defaults(run=_digraph_turan)
+    a = actions.add_parser("brute-max", help="exact maximum transitive-cycle-free digraph")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--out")
+    a.set_defaults(run=_digraph_brute_max)
 
     p = sub.add_parser("legs", help="legs witness of a poset")
     p.add_argument("--poset", required=True)
@@ -151,31 +178,36 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_digraph(args) -> int:
-    if args.action == "aux":
-        F = _load_family(args.family)
-        _emit(pio.format_digraph(dg.auxiliary_digraph(F)), args.out)
+def _digraph_aux(args) -> int:
+    _emit(pio.format_digraph(dg.auxiliary_digraph(_load_family(args.family))), args.out)
+    return 0
+
+
+def _digraph_tc_check(args) -> int:
+    D = _load_digraph(args.digraph)
+    witness = dg.has_transitive_cycle(D)
+    if witness is None:
+        print("transitive_cycle=none")
+        print(f"edges={D.edge_count()}")
         return 0
-    if args.action == "turan":
-        _emit(pio.format_digraph(dg.turan_bipartite(args.n)), args.out)
-        return 0
-    if args.action == "brute-max":
-        count, witness = dg.max_tc_free_edges_bruteforce(args.n)
-        print(f"max_edges={count}")
-        _emit(pio.format_digraph(witness), args.out)
-        return 0
-    D = pio.parse_digraph(Path(args.digraph).read_text())
-    if args.action == "tc-check":
-        witness = dg.has_transitive_cycle(D)
-        if witness is None:
-            print("transitive_cycle=none")
-            print(f"edges={D.edge_count()}")
-            return 0
-        print("transitive_cycle=" + ",".join(str(v + 1) for v in witness))
-        return 1
-    # contract
-    cycle = [int(v) - 1 for v in args.cycle.split(",")]
-    _emit(pio.format_digraph(dg.contract_cycle(D, cycle)), args.out)
+    print("transitive_cycle=" + ",".join(str(v + 1) for v in witness))
+    return 1
+
+
+def _digraph_contract(args) -> int:
+    _emit(pio.format_digraph(dg.contract_cycle(_load_digraph(args.digraph), args.cycle)), args.out)
+    return 0
+
+
+def _digraph_turan(args) -> int:
+    _emit(pio.format_digraph(dg.turan_bipartite(args.n)), args.out)
+    return 0
+
+
+def _digraph_brute_max(args) -> int:
+    count, witness = dg.max_tc_free_edges_bruteforce(args.n)
+    print(f"max_edges={count}")
+    _emit(pio.format_digraph(witness), args.out)
     return 0
 
 
@@ -208,7 +240,7 @@ def main(argv=None) -> int:
             _emit(pio.format_family(fam.blow_up(F, args.i)), args.out)
             return 0
         if args.command == "digraph":
-            return _cmd_digraph(args)
+            return args.run(args)
         if args.command == "legs":
             w = has_legs(_load_poset(args.poset))
             if w is None:
@@ -228,8 +260,7 @@ def main(argv=None) -> int:
             elif args.family:
                 _emit(pio.family_dot(_load_family(args.family)), args.out)
             else:
-                D = pio.parse_digraph(Path(args.digraph).read_text())
-                _emit(pio.digraph_dot(D), args.out)
+                _emit(pio.digraph_dot(_load_digraph(args.digraph)), args.out)
             return 0
         if args.command == "verify":
             return _cmd_verify(args)

@@ -21,10 +21,6 @@ class BadParam(PosatError):
     """A parameter is missing, superfluous, or out of range."""
 
 
-class RequiredNotMember(PosatError):
-    """The pinned subset is not a member of the family."""
-
-
 class BadIndex(PosatError):
     """A ground-set index is outside 1..n."""
 
@@ -58,10 +54,6 @@ class NotAnInducedCycle(PosatError):
 
 class TooLarge(PosatError):
     """The exhaustive enumeration is capped below this input size."""
-
-
-class StartNotFree(PosatError):
-    """The start family already contains a forbidden induced copy."""
 
 
 class NotSaturated(PosatError):

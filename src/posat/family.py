@@ -17,7 +17,6 @@ from .errors import (
     BadParam,
     BadParams,
     NotPerfectSquare,
-    RequiredNotMember,
     TooLarge,
 )
 from .poset import EmbeddingWitness, Poset, has_pinned_copy, induced_embeddings
@@ -184,18 +183,9 @@ def iter_induced_embeddings(members: tuple[int, ...], P: Poset, pinned: int | No
     yield from induced_embeddings(P, rows.up, rows.down, pinned)
 
 
-def contains_induced_copy(F: SetFamily, P: Poset, required: int | None = None) -> EmbeddingWitness | None:
-    """First induced copy of P in F (as member indices), or None.
-
-    ``required`` pins a member mask that must appear in the image.
-    """
-    pinned = None
-    if required is not None:
-        try:
-            pinned = F.members.index(required)
-        except ValueError:
-            raise RequiredNotMember(f"required set {sorted(elems_of(required))} not in family")
-    return next(iter_induced_embeddings(F.members, P, pinned), None)
+def contains_induced_copy(F: SetFamily, P: Poset) -> EmbeddingWitness | None:
+    """First induced copy of P in F (as member indices), or None."""
+    return next(iter_induced_embeddings(F.members, P), None)
 
 
 def check_forbidden(forbidden) -> tuple[Poset, ...]:

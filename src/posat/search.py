@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .errors import BadParam, NoLegs, NotSaturated, StartNotFree, TooLarge
+from .errors import BadParam, NoLegs, NotSaturated, TooLarge
 from .family import (
     SWEEP_CAP,
     InclusionRows,
@@ -21,7 +21,6 @@ from .family import (
     blow_up,
     check_forbidden,
     complement_family,
-    contains_induced_copy,
     is_induced_saturated,
     iter_induced_embeddings,
     singleton_difference_table,
@@ -73,14 +72,13 @@ SEARCH_CAP = 8
 def greedy_saturate(
     n: int,
     forbidden,
-    start: SetFamily | None = None,
     ordering: str = "lex",
     seed: int | None = None,
 ) -> SetFamily:
-    """Extend the start family to a maximal induced-free one by scanning the
-    missing sets in ``ordering`` (lex, by_cardinality, or random, shuffled
-    by ``seed``) and adding whenever possible.  The scan covers all 2^n
-    sets: above ``SWEEP_CAP`` it raises TooLarge before any work."""
+    """A maximal induced-free family: scan the 2^n sets in ``ordering``
+    (lex, by_cardinality, or random, shuffled by ``seed``) and add each one
+    that completes no forbidden copy.  Above ``SWEEP_CAP`` sets it raises
+    TooLarge before any work."""
     if ordering not in ("lex", "by_cardinality", "random"):
         raise BadParam(f"unknown ordering {ordering!r}")
     if ordering == "random" and seed is None:
@@ -88,21 +86,16 @@ def greedy_saturate(
     if 1 << n > SWEEP_CAP:
         raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
     forbidden = check_forbidden(forbidden)
-    members = sorted(start.members) if start is not None else []
-    if any(contains_induced_copy(SetFamily.of(n, members), P) for P in forbidden):
-        raise StartNotFree("start family already contains a forbidden copy")
-    rows = InclusionRows(members)
-    have = set(members)
+    rows = InclusionRows()
     masks = list(range(1 << n))
     if ordering == "by_cardinality":
         masks.sort(key=lambda m: (m.bit_count(), m))
     elif ordering == "random":
         random.Random(seed).shuffle(masks)
     for s in masks:
-        if s not in have:
-            rows.push(s)
-            if rows.completes_copy(forbidden):
-                rows.pop()
+        rows.push(s)
+        if rows.completes_copy(forbidden):
+            rows.pop()
     return SetFamily.of(n, rows.members)
 
 

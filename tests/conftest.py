@@ -106,15 +106,16 @@ def brute_singleton_difference_pairs(members: tuple[int, ...], i: int) -> list[t
     ]
 
 
-def brute_max_tc_free(n: int) -> int:
-    """Maximum edges of a transitive-cycle-free digraph on n vertices by
+def brute_max_tc_free(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Maximum edges of a transitive-cycle-free digraph on n vertices, and
+    the lexicographically smallest maximizer as a sorted edge list, by
     checking every edge subset."""
     all_edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-    best = 0
+    best, first = 0, []
     for bits in range(1 << len(all_edges)):
         chosen = [e for j, e in enumerate(all_edges) if bits >> j & 1]
-        if len(chosen) <= best:
+        if len(chosen) < best or (len(chosen) == best and chosen >= first):
             continue
         if brute_first_transitive_cycle(Digraph.of(n, chosen)) is None:
-            best = len(chosen)
-    return best
+            best, first = len(chosen), chosen
+    return best, first

@@ -180,16 +180,19 @@ def test_turan_bipartite_is_extreme_and_free(n):
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 2), (3, 4)])
 def test_brute_max_matches_independent_enumeration(n, expected):
-    assert brute_max_tc_free(n) == expected
     count, witness = max_tc_free_edges_bruteforce(n)
+    # the count and the lexicographically smallest maximizer
+    assert brute_max_tc_free(n) == (expected, witness.sorted_edges())
     assert count == expected
     assert witness.edge_count() == count
     assert is_tc_free(witness)
 
 
 def test_brute_max_n4_against_full_enumeration():
-    count, _ = max_tc_free_edges_bruteforce(4)
-    assert count == brute_max_tc_free(4) == 6
+    # the count and the lexicographically smallest maximizer
+    count, witness = max_tc_free_edges_bruteforce(4)
+    assert (count, witness.sorted_edges()) == brute_max_tc_free(4)
+    assert count == 6
 
 
 def test_brute_max_n5_attains_the_plus_two():

@@ -35,7 +35,6 @@ from posat.errors import (
     BadParam,
     BadParams,
     NotPerfectSquare,
-    RequiredNotMember,
     TooLarge,
 )
 from posat.family import (
@@ -235,20 +234,6 @@ def test_blocked_masks_stay_blocked(F, data, P):
     if rows.blocks(s, [P]):
         rows.push(t)
         assert rows.blocks(s, [P])
-
-
-def test_required_member_is_checked():
-    F = SetFamily.of(3, [0, 1, 3])
-    with pytest.raises(RequiredNotMember):
-        contains_induced_copy(F, catalog("fork"), required=0b100)
-
-
-def test_required_pins_the_copy():
-    # {1} < {1,2}, {1,3} is a fork; pinning each member keeps it findable
-    F = SetFamily.of(3, [0b001, 0b011, 0b101])
-    for m in F.members:
-        w = contains_induced_copy(F, catalog("fork"), required=m)
-        assert w is not None and F.members.index(m) in w.mapping
 
 
 # -- saturation ---------------------------------------------------------------

@@ -236,6 +236,28 @@ def test_cli_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_cli_digraph_usage_error_exit_code(tmp_path, capsys):
+    # each action takes only its own inputs; a missing or malformed one is a
+    # usage error, not a traceback
+    d = write(tmp_path, "cyc.txt", "vertices=3\n1 -> 2\n2 -> 3\n3 -> 1\n")
+    for argv in (
+        [],
+        ["aux"],
+        ["tc-check"],
+        ["tc-check", "--digraph", d, "--out", str(tmp_path / "out.txt")],
+        ["contract", "--cycle", "1,2,3"],
+        ["contract", "--digraph", d],
+        ["contract", "--digraph", d, "--cycle", "1,a"],
+        ["turan"],
+        ["brute-max"],
+        ["brute-max", "--n", "3", "--family", d],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["digraph", *argv])
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
 def test_cli_time_limit_env(monkeypatch, capsys):
     monkeypatch.setenv("POSAT_TIME_LIMIT_SECS", "0.000001")
     assert main(["satstar", "--n", "4", "--poset", "name=N"]) == 4
