@@ -76,14 +76,6 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
-
-    def missing(self):
-        """All masks of 2^[n] not in the family, ascending."""
-        have = set(self.members)
-        return [s for s in range(1 << self.n) if s not in have]
-
 
 # -- structure ---------------------------------------------------------------
 
@@ -114,6 +106,25 @@ def blow_up(F: SetFamily, i: int) -> SetFamily:
 
 # -- induced copies ----------------------------------------------------------
 
+def cube_rows(n: int) -> tuple[list[int], list[int]]:
+    """Proper-inclusion rows of every mask of 2^[n], indexed by the mask:
+    ``up[m]`` / ``down[m]`` have bit x set iff x is a proper superset /
+    subset of m.  Built from the n rows "contains i", one AND per mask: the
+    supersets of m are those of m minus its lowest element that contain
+    that element, and the subsets likewise with its lowest missing one."""
+    total = 1 << n
+    full = (1 << total) - 1
+    contains = [sum(1 << x for x in range(total) if x >> i & 1) for i in range(n)]
+    supersets, subsets = [full] * total, [full] * total
+    for m in range(1, total):
+        low = m & -m
+        supersets[m] = supersets[m ^ low] & contains[low.bit_length() - 1]
+    for m in range(total - 2, -1, -1):
+        gap = ~m & (m + 1)
+        subsets[m] = subsets[m | gap] & ~contains[gap.bit_length() - 1]
+    return [r ^ 1 << m for m, r in enumerate(supersets)], [r ^ 1 << m for m, r in enumerate(subsets)]
+
+
 class InclusionRows:
     """Proper-inclusion rows of a list of distinct member masks, updated in
     O(k) per push and pop: ``up[j]`` / ``down[j]`` have bit i set iff member
@@ -124,39 +135,31 @@ class InclusionRows:
         for m in members:
             self.push(m)
 
-    def push(self, m: int, related: tuple[int, int] | None = None) -> None:
-        """Append m.  ``related`` is its (up, down) rows from an earlier push
-        onto the same members; passing it skips the subset scan."""
+    def push(self, m: int) -> None:
+        """Append m."""
         bit = 1 << len(self.members)
         up, down = self.up, self.down
-        if related is not None:
-            above, below = related
-            self._flip(bit, above, below)
-        else:
-            above = below = 0
-            for i, x in enumerate(self.members):
-                if m & ~x == 0:
-                    above |= 1 << i
-                    down[i] |= bit
-                elif x & ~m == 0:
-                    below |= 1 << i
-                    up[i] |= bit
+        above = below = 0
+        for i, x in enumerate(self.members):
+            if m & ~x == 0:
+                above |= 1 << i
+                down[i] |= bit
+            elif x & ~m == 0:
+                below |= 1 << i
+                up[i] |= bit
         self.members.append(m)
         up.append(above)
         down.append(below)
 
     def pop(self) -> int:
         """Remove the last pushed member and return it."""
-        self._flip(1 << (len(self.members) - 1), self.up.pop(), self.down.pop())
-        return self.members.pop()
-
-    def _flip(self, bit: int, above: int, below: int) -> None:
-        """Toggle ``bit`` in the down rows of above and the up rows of below."""
-        for rows, related in ((self.down, above), (self.up, below)):
+        bit = 1 << (len(self.members) - 1)
+        for rows, related in ((self.down, self.up.pop()), (self.up, self.down.pop())):
             while related:
                 low = related & -related
                 rows[low.bit_length() - 1] ^= bit
                 related ^= low
+        return self.members.pop()
 
     def completes_copy(self, forbidden) -> bool:
         """True iff the last pushed member lies in an induced copy of some

@@ -280,55 +280,61 @@ def induced_embeddings(P: Poset, up, down, pinned: int | None = None):
     k = len(up)
     if P.size > k:
         return
+    every = (1 << k) - 1
     if pinned is None:
-        yield from _match(_plan(P.up, None), up, down, (1 << k) - 1)
+        yield from _match(_plan(P.up, None), up, down, every, every)
     else:
         for a in range(P.size):
-            yield from _match(_plan(P.up, a), up, down, 1 << pinned)
+            yield from _match(_plan(P.up, a), up, down, 1 << pinned, every)
 
 
 @functools.lru_cache(maxsize=1024)
-def _orbit_reps(up: tuple[int, ...]) -> tuple[int, ...]:
-    """The smallest element of each automorphism orbit of the poset with
-    relation rows ``up``; the automorphisms are its induced copies in
-    itself."""
+def _pinned_plans(up: tuple[int, ...]) -> tuple:
+    """The placement plans of the poset with relation rows ``up`` that place
+    first the smallest element of each automorphism orbit; the automorphisms
+    are its induced copies in itself."""
     p = len(up)
     down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
-    autos = [w.mapping for w in _match(_plan(up, None), up, down, (1 << p) - 1)]
-    reps, seen = [], 0
+    every = (1 << p) - 1
+    autos = [w.mapping for w in _match(_plan(up, None), up, down, every, every)]
+    plans, seen = [], 0
     for a in range(p):
         if not seen >> a & 1:
-            reps.append(a)
+            plans.append(_plan(up, a))
             for f in autos:
                 seen |= 1 << f[a]
-    return tuple(reps)
+    return tuple(plans)
 
 
-def has_pinned_copy(P: Poset, up, down, pinned: int) -> bool:
+def has_pinned_copy(P: Poset, up, down, pinned: int, within: int | None = None) -> bool:
     """True iff some induced copy of P among the targets ordered by ``up`` /
-    ``down`` (as for ``induced_embeddings``) uses target ``pinned``.
+    ``down`` (as for ``induced_embeddings``) uses target ``pinned`` and
+    only targets whose bits are set in ``within`` (default: every target;
+    ``within`` must contain the pin).
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one
     element per orbit only.
     """
-    if P.size > len(up):
+    if within is None:
+        within = (1 << len(up)) - 1
+    if P.size > within.bit_count():
         return False
-    return any(
-        next(_match(_plan(P.up, a), up, down, 1 << pinned), None) is not None
-        for a in _orbit_reps(P.up)
-    )
+    for plan in _pinned_plans(P.up):
+        for _ in _match(plan, up, down, 1 << pinned, within):
+            return True
+    return False
 
 
-def _match(plan, up, down, first: int):
-    """Backtracking over the plan's steps; the candidates of a step are the
-    AND of the rows of the targets already placed, minus the used ones."""
+def _match(plan, up, down, first: int, within: int):
+    """Backtracking over the plan's steps, on the targets in ``within``:
+    the candidates of a step are the AND of the rows of the targets already
+    placed, minus the used ones, and the first step's are ``first``."""
     order, steps = plan
     p = len(order)
     if p == 0:
         yield EmbeddingWitness(())
         return
-    full = (1 << len(up)) - 1
     image = [0] * p
     cands = [0] * p
     cands[0] = first
@@ -346,7 +352,7 @@ def _match(plan, up, down, first: int):
         cands[t] = c ^ low
         j = low.bit_length() - 1
         step = steps[t]
-        if up[j].bit_count() < step[3] or down[j].bit_count() < step[4]:
+        if (up[j] & within).bit_count() < step[3] or (down[j] & within).bit_count() < step[4]:
             continue
         image[t] = j
         if t == p - 1:
@@ -358,7 +364,7 @@ def _match(plan, up, down, first: int):
         used |= low
         t += 1
         below, above, apart, _, _ = steps[t]
-        c = full & ~used
+        c = within & ~used
         for s in below:
             c &= down[image[s]]
         for s in above:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass, replace
 
@@ -21,6 +20,7 @@ from .family import (
     blow_up,
     check_forbidden,
     complement_family,
+    cube_rows,
     is_induced_saturated,
     iter_induced_embeddings,
     singleton_difference_table,
@@ -28,7 +28,7 @@ from .family import (
     x_upper_family,
     y_upper_family,
 )
-from .poset import LegsWitness, Poset, dual, has_legs, iter_legs_witnesses
+from .poset import LegsWitness, Poset, dual, has_legs, has_pinned_copy, iter_legs_witnesses
 
 
 @dataclass(frozen=True)
@@ -69,30 +69,15 @@ class _TimeUp(Exception):
 SEARCH_CAP = 8
 
 
-def greedy_saturate(
-    n: int,
-    forbidden,
-    ordering: str = "lex",
-    seed: int | None = None,
-) -> SetFamily:
-    """A maximal induced-free family: scan the 2^n sets in ``ordering``
-    (lex, by_cardinality, or random, shuffled by ``seed``) and add each one
-    that completes no forbidden copy.  Above ``SWEEP_CAP`` sets it raises
-    TooLarge before any work."""
-    if ordering not in ("lex", "by_cardinality", "random"):
-        raise BadParam(f"unknown ordering {ordering!r}")
-    if ordering == "random" and seed is None:
-        raise BadParam("random ordering needs a seed")
+def greedy_saturate(n: int, forbidden) -> SetFamily:
+    """A maximal induced-free family: scan the 2^n sets in ascending mask
+    order and add each one that completes no forbidden copy.  Above
+    ``SWEEP_CAP`` sets it raises TooLarge before any work."""
     if 1 << n > SWEEP_CAP:
         raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
     forbidden = check_forbidden(forbidden)
     rows = InclusionRows()
-    masks = list(range(1 << n))
-    if ordering == "by_cardinality":
-        masks.sort(key=lambda m: (m.bit_count(), m))
-    elif ordering == "random":
-        random.Random(seed).shuffle(masks)
-    for s in masks:
+    for s in range(1 << n):
         rows.push(s)
         if rows.completes_copy(forbidden):
             rows.pop()
@@ -176,10 +161,13 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     """Smallest maximal induced-free family in 2^[n], by iterative deepening
     on the target size between the ``certified_bounds`` (none if they meet).
 
-    Partial families are extended in ascending mask order.  A node first
-    tests each mask of its candidate range that is not yet known to be
-    blocked (adding it would put it in a forbidden copy) and passes the
-    blocked masks to its children: an induced copy survives added members,
+    Partial families are extended in ascending mask order and carried as
+    one bitset of masks; the inclusion rows of all of 2^[n] are built once
+    (``cube_rows``), and every test is a ``has_pinned_copy`` query on them
+    restricted to the members plus the tested mask.  A node first tests
+    each mask of its candidate range that is not yet known to be blocked
+    (adding it would put it in a forbidden copy) and passes the blocked
+    masks to its children: an induced copy survives added members,
     so a mask blocked at a node stays blocked below it.  The free masks
     become children, pruned (unless symmetry reduction is off) when some
     transposition of the ground set maps the extended family to a
@@ -217,49 +205,55 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     upper = bounds.upper_bound
 
     total = 1 << n
-    rows = InclusionRows()
+    up, down = cube_rows(n)
 
-    def maximal(blocked: int) -> bool:  # blocked here includes the members
+    def blocks(s: int, chosen: int) -> bool:
+        within = chosen | 1 << s
+        for P in forbidden:
+            if has_pinned_copy(P, up, down, s, within):
+                return True
+        return False
+
+    def maximal(chosen: int, blocked: int) -> bool:  # blocked here includes the members
         for s in range(total):
             if not blocked >> s & 1:
                 _check_deadline(deadline)
-                if not rows.blocks(s, forbidden):
+                if not blocks(s, chosen):
                     return False
         return True
 
-    def dfs(start: int, k: int, blocked: int, images: int, marks: int) -> bool:
+    def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
+        """The lex-first maximal free family of ``need`` more members above
+        ``start`` extending ``chosen``, as a bitset of masks, or None."""
         _check_deadline(deadline)
-        need = k - len(rows.members)
         if need == 0:
-            return maximal(blocked)
-        free = []  # (mask, its up and down rows)
+            return chosen if maximal(chosen, blocked) else None
+        free = []
         for m in range(start, total - need + 1):
             if blocked >> m & 1:
                 continue
-            rows.push(m)
-            if rows.completes_copy(forbidden):
+            if blocks(m, chosen):
                 blocked |= 1 << m
             else:
-                free.append((m, (rows.up[-1], rows.down[-1])))
-            rows.pop()
-        for m, related in free:
+                free.append(m)
+        for m in free:
             m_images = m_marks = 0
             if lanes is not None:
                 m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
                 if not lanes.canonical(m_images, m_marks):
                     continue
-            rows.push(m, related)
-            if dfs(m + 1, k, blocked | 1 << m, m_images, m_marks):
-                return True
-            rows.pop()
-        return False
+            found = dfs(m + 1, need - 1, chosen | 1 << m, blocked | 1 << m, m_images, m_marks)
+            if found is not None:
+                return found
+        return None
 
     lanes = TranspositionLanes.build(n) if config.symmetry_reduction else None
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     try:
         for k in range(proven, upper):
-            if dfs(0, k, 0, 0, 0):
-                fam = SetFamily.of(n, rows.members)
+            found = dfs(0, k, 0, 0, 0, 0)
+            if found is not None:
+                fam = SetFamily.of(n, (m for m in range(total) if found >> m & 1))
                 return SatStarResult(n, forbidden, k, proven_kind, k, "exhaustive", fam, exact=True)
             proven, proven_kind = k + 1, "exhaustive"
     except _TimeUp:

@@ -40,6 +40,7 @@ from posat.errors import (
 from posat.family import (
     SWEEP_CAP,
     InclusionRows,
+    cube_rows,
     elems_of,
     full_mask,
     iter_induced_embeddings,
@@ -102,11 +103,6 @@ def test_family_validation():
     with pytest.raises(BadParam):
         SetFamily(2, (1, 1))
     assert len(SetFamily.of(2, [1, 1, 2])) == 2  # .of dedupes
-
-
-def test_missing_partitions_the_cube():
-    F = SetFamily.of(3, [0, 0b101])
-    assert sorted(F.missing() + list(F.members)) == list(range(8))
 
 
 # -- structure maps -----------------------------------------------------------
@@ -197,19 +193,24 @@ def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
     assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(kept))
 
 
-@given(st.lists(st.integers(0, 31), unique=True, min_size=1, max_size=10))
-def test_push_with_saved_rows_equals_a_scanning_push(masks):
-    *base, m = masks
-    rows = InclusionRows(base)
-    rows.push(m)
-    scanned = ([*rows.up], [*rows.down])
-    related = rows.up[-1], rows.down[-1]
-    rows.pop()
-    rows.push(m, related)
-    assert (rows.up, rows.down) == scanned
-    assert rows.pop() == m
-    fresh = InclusionRows(base)
-    assert (rows.up, rows.down) == (fresh.up, fresh.down)
+@pytest.mark.parametrize("n", range(7))
+def test_cube_rows_equal_the_rows_of_every_mask(n):
+    rows = InclusionRows(range(1 << n))
+    assert cube_rows(n) == (rows.up, rows.down)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, (1 << (1 << n)) - 1))),
+       st.sampled_from(catalog_small(5)))
+def test_pinned_query_within_the_cube_rows_matches_rows_of_the_targets(n_within, P):
+    # a query on the rows of all of 2^[n], restricted to ``within``, is the
+    # query on the rows of the masks in ``within`` alone
+    n, within = n_within
+    up, down = cube_rows(n)
+    masks = [m for m in range(1 << n) if within >> m & 1]
+    rows = InclusionRows(masks)
+    for j, s in enumerate(masks):
+        assert has_pinned_copy(P, up, down, s, within) == has_pinned_copy(P, rows.up, rows.down, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,7 +227,7 @@ def test_orbit_pinned_query_matches_every_placement(F, P):
 @given(families(max_n=4, max_members=7), st.data(), st.sampled_from(catalog_small(5)))
 def test_blocked_masks_stay_blocked(F, data, P):
     # an induced copy through s survives adding t, so s stays blocked
-    outside = F.missing()
+    outside = [s for s in range(1 << F.n) if s not in F.members]
     if len(outside) < 2:
         return
     s, t = data.draw(st.lists(st.sampled_from(outside), min_size=2, max_size=2, unique=True))
@@ -264,7 +265,7 @@ def test_addable_sets_match_bruteforce(F, name):
     P = catalog(name)
     if brute_has_induced_copy(F.members, P):
         return
-    want = [s for s in F.missing() if not brute_has_induced_copy(F.members + (s,), P)]
+    want = [s for s in range(1 << F.n) if s not in F.members and not brute_has_induced_copy(F.members + (s,), P)]
     assert list(addable_sets(F, [P])) == want
     report = is_induced_saturated(F, [P])
     assert report.saturated == (not want) and report.addable == (want[0] if want else None)
@@ -274,7 +275,7 @@ def full_sweep(F, forbidden):
     """Every missing mask that no forbidden copy through it blocks, one
     pinned query per mask."""
     rows = InclusionRows(F.members)
-    return [s for s in F.missing() if not rows.blocks(s, forbidden)]
+    return [s for s in range(1 << F.n) if s not in F.members and not rows.blocks(s, forbidden)]
 
 
 def permuted(F, rng):

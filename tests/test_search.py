@@ -29,9 +29,10 @@ from posat import (
 )
 from posat import search
 from posat.errors import BadParam, NoLegs, NotSaturated, TooLarge
+from posat.family import InclusionRows
 from posat.search import TranspositionLanes, _deepen, certified_bounds
 
-from conftest import brute_sat_star_n3
+from conftest import brute_has_induced_copy, brute_sat_star_n3
 
 
 # -- greedy -------------------------------------------------------------------
@@ -43,11 +44,13 @@ def test_greedy_result_is_saturated():
         assert is_induced_saturated(F, [P]).saturated
 
 
-def test_greedy_orderings_agree_on_saturation():
-    P = catalog("diamond")
-    for ordering, seed in (("lex", None), ("by_cardinality", None), ("random", 7)):
-        F = greedy_saturate(3, [P], ordering=ordering, seed=seed)
-        assert is_induced_saturated(F, [P]).saturated
+def test_greedy_is_the_ascending_scan():
+    # a mask joins iff it completes no copy with the members below it
+    for P in isomorphism_classes(catalog_small(5)):
+        F = greedy_saturate(3, [P])
+        for s in range(8):
+            below = tuple(m for m in F.members if m < s)
+            assert (s in F.members) == (not brute_has_induced_copy(below + (s,), P, pinned=len(below))), (P, s)
 
 
 def test_greedy_sweep_is_capped():
@@ -64,13 +67,6 @@ def test_greedy_sweep_is_capped():
     with pytest.raises(TooLarge):
         certified_bounds(21, [catalog("diamond")])  # no candidate is saturated
     assert time.monotonic() - t0 < 1
-
-
-def test_random_ordering_requires_a_seed():
-    with pytest.raises(BadParam, match="random ordering needs a seed"):
-        greedy_saturate(3, [catalog("diamond")], ordering="random")
-    with pytest.raises(BadParam, match="unknown ordering"):
-        greedy_saturate(3, [catalog("diamond")], ordering="sideways")
 
 
 # -- exact search -------------------------------------------------------------
@@ -183,11 +179,74 @@ def test_symmetry_tables_are_capped_before_any_work():
     assert time.monotonic() - t0 < 0.1
 
 
+def test_the_search_keeps_no_member_rows(monkeypatch):
+    # the DFS runs on the fixed rows of the cube: no InclusionRows push
+    P = catalog("N")
+    bounds = search._greedy_bounds(4, [P])
+
+    def push(self, m):
+        raise AssertionError("the search pushed a member")
+
+    monkeypatch.setattr(InclusionRows, "push", push)
+    res = _deepen(4, [P], start_bounds=lambda n, forbidden: bounds)
+    assert res.exact and res.lower_bound == 8 and res.witness == bounds.witness
+
+
 def test_multiple_forbidden_posets_exact():
     chain3, anti3 = catalog("chain", 3), catalog("antichain", 3)
     res = exact_sat_star(3, [chain3, anti3])
     assert res.exact
     assert is_induced_saturated(res.witness, [chain3, anti3]).saturated
+
+
+# The exact results of the 17 classes of catalog_small(5), as (lower_kind,
+# upper_kind, witness); the bounds are the witness size.  Recorded before
+# the search moved to the fixed rows of the cube, which must not change them.
+EXACT_WITNESSES = {
+    ('chain(2)', 3): ('trivial', 'greedy', (0,)),
+    ('chain(2)', 4): ('trivial', 'greedy', (0,)),
+    ('antichain(2)', 3): ('exhaustive', 'greedy', (0, 1, 3, 7)),
+    ('antichain(2)', 4): ('exhaustive', 'greedy', (0, 1, 3, 7, 15)),
+    ('chain(3)', 3): ('exhaustive', 'exhaustive', (0, 7)),
+    ('chain(3)', 4): ('exhaustive', 'exhaustive', (0, 15)),
+    ('antichain(3)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 5, 7)),
+    ('antichain(3)', 4): ('exhaustive', 'greedy', (0, 1, 2, 3, 5, 7, 11, 15)),
+    ('chain(4)', 3): ('exhaustive', 'exhaustive', (0, 1, 6, 7)),
+    ('chain(4)', 4): ('exhaustive', 'exhaustive', (0, 1, 14, 15)),
+    ('antichain(4)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('antichain(4)', 4): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7, 11, 13, 15)),
+    ('chain(5)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('chain(5)', 4): ('exhaustive', 'exhaustive', (0, 1, 2, 3, 12, 13, 14, 15)),
+    ('antichain(5)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('antichain(5)', 4): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15)),
+    ('fork', 3): ('legs', 'greedy', (0, 1, 3, 7)),
+    ('fork', 4): ('legs', 'greedy', (0, 1, 3, 7, 15)),
+    ('diamond', 3): ('exhaustive', 'greedy', (0, 1, 2, 4)),
+    ('diamond', 4): ('exhaustive', 'greedy', (0, 1, 2, 4, 8)),
+    ('N', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 7)),
+    ('N', 4): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 7, 8, 15)),
+    ('Y', 3): ('exhaustive', 'y_upper', (0, 3, 5, 6, 7)),
+    ('Y', 4): ('exhaustive', 'y_upper', (0, 7, 11, 13, 14, 15)),
+    ('Yinv', 3): ('exhaustive', 'complement:y_upper', (0, 1, 2, 4, 7)),
+    ('Yinv', 4): ('exhaustive', 'complement:y_upper', (0, 1, 2, 4, 8, 15)),
+    ('X', 3): ('double_legs', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('X', 4): ('double_legs', 'x_upper', (0, 1, 2, 4, 7, 8, 11, 13, 14, 15)),
+    ('wedge(1)', 3): ('legs', 'greedy', (0, 1, 2, 4)),
+    ('wedge(1)', 4): ('legs', 'greedy', (0, 1, 2, 4, 8)),
+    ('wedge(3)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('wedge(3)', 4): ('exhaustive', 'wedge_upper:2', (0, 1, 2, 3, 4, 8, 13, 14, 15)),
+    ('vee(3)', 3): ('exhaustive', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    ('vee(3)', 4): ('exhaustive', 'complement:wedge_upper:2', (0, 1, 2, 7, 11, 12, 13, 14, 15)),
+}
+
+
+def test_exact_witnesses_are_unchanged():
+    classes = {P.name: P for P in isomorphism_classes(catalog_small(5))}
+    assert {name for name, _ in EXACT_WITNESSES} == set(classes)
+    for (name, n), (lower_kind, upper_kind, members) in EXACT_WITNESSES.items():
+        res = exact_sat_star(n, [classes[name]])
+        assert res.exact and res.lower_bound == res.upper_bound == len(members), (name, n)
+        assert (res.lower_kind, res.upper_kind, res.witness.members) == (lower_kind, upper_kind, members), (name, n)
 
 
 # -- certified bounds ---------------------------------------------------------
