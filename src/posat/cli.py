@@ -160,20 +160,20 @@ def _cmd_satstar(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    takes_l = args.name in ("wedge", "xell")
+    if (args.l is not None) != takes_l:
+        print(f"--l {'required' if takes_l else 'not taken'} for this construction", file=sys.stderr)
+        return 2
     if args.name == "unique-pairs":
         F = fam.unique_pair_family(args.n)
     elif args.name == "y-upper":
         F = fam.y_upper_family(args.n)
     elif args.name == "x-upper":
         F = fam.x_upper_family(args.n)
+    elif args.name == "wedge":
+        F = fam.wedge_upper_family(args.n, args.l)
     else:
-        if args.l is None:
-            print("--l required for this construction", file=sys.stderr)
-            return 2
-        if args.name == "wedge":
-            F = fam.wedge_upper_family(args.n, args.l)
-        else:
-            F = fam.xell_upper_family(args.n, args.l)
+        F = fam.xell_upper_family(args.n, args.l)
     _emit(pio.format_family(F), args.out)
     return 0
 

@@ -106,29 +106,11 @@ def blow_up(F: SetFamily, i: int) -> SetFamily:
 
 # -- induced copies ----------------------------------------------------------
 
-def cube_rows(n: int) -> tuple[list[int], list[int]]:
-    """Proper-inclusion rows of every mask of 2^[n], indexed by the mask:
-    ``up[m]`` / ``down[m]`` have bit x set iff x is a proper superset /
-    subset of m.  Built from the n rows "contains i", one AND per mask: the
-    supersets of m are those of m minus its lowest element that contain
-    that element, and the subsets likewise with its lowest missing one."""
-    total = 1 << n
-    full = (1 << total) - 1
-    contains = [sum(1 << x for x in range(total) if x >> i & 1) for i in range(n)]
-    supersets, subsets = [full] * total, [full] * total
-    for m in range(1, total):
-        low = m & -m
-        supersets[m] = supersets[m ^ low] & contains[low.bit_length() - 1]
-    for m in range(total - 2, -1, -1):
-        gap = ~m & (m + 1)
-        subsets[m] = subsets[m | gap] & ~contains[gap.bit_length() - 1]
-    return [r ^ 1 << m for m, r in enumerate(supersets)], [r ^ 1 << m for m, r in enumerate(subsets)]
-
-
 class InclusionRows:
     """Proper-inclusion rows of a list of distinct member masks, updated in
     O(k) per push and pop: ``up[j]`` / ``down[j]`` have bit i set iff member
-    i is a proper superset / subset of member j."""
+    i is a proper superset / subset of member j.  Built from
+    ``range(1 << n)``, the rows of all of 2^[n] are indexed by the mask."""
 
     def __init__(self, members=()):
         self.members, self.up, self.down = [], [], []
@@ -161,29 +143,19 @@ class InclusionRows:
                 related ^= low
         return self.members.pop()
 
-    def completes_copy(self, forbidden) -> bool:
-        """True iff the last pushed member lies in an induced copy of some
-        forbidden poset."""
-        last = len(self.members) - 1
-        return any(has_pinned_copy(P, self.up, self.down, last) for P in forbidden)
-
     def blocks(self, m: int, forbidden) -> bool:
         """True iff adding m would put it in an induced forbidden copy."""
         self.push(m)
-        blocked = self.completes_copy(forbidden)
+        blocked = has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1)
         self.pop()
         return blocked
 
 
-def iter_induced_embeddings(members: tuple[int, ...], P: Poset, pinned: int | None = None):
+def iter_induced_embeddings(members: tuple[int, ...], P: Poset):
     """Yield every injective map (as an index tuple) from P into the listed
-    member masks that preserves and reflects proper inclusion.
-
-    If ``pinned`` (a member index) is given, only embeddings whose image
-    contains it are produced.
-    """
+    member masks that preserves and reflects proper inclusion."""
     rows = InclusionRows(members)
-    yield from induced_embeddings(P, rows.up, rows.down, pinned)
+    yield from induced_embeddings(P, rows.up, rows.down)
 
 
 def contains_induced_copy(F: SetFamily, P: Poset) -> EmbeddingWitness | None:

@@ -91,7 +91,10 @@ def parse_family(text: str) -> SetFamily:
         if not sm:
             raise ParseError(f"expected a set like {{1,3}}, got {line!r}")
         body = sm.group(1).strip()
-        elems = [int(x) for x in body.split(",")] if body else []
+        try:
+            elems = [int(x) for x in body.split(",")] if body else []
+        except ValueError:
+            raise ParseError(f"empty or space-separated item in {line!r}")
         if any(not 1 <= e <= n for e in elems):
             raise ParseError(f"element out of range in {line!r}")
         members.append(mask_of(elems))

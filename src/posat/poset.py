@@ -98,10 +98,6 @@ class EmbeddingWitness:
 
     mapping: tuple[int, ...]
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
 
 def _bits(mask: int):
     while mask:
@@ -270,22 +266,17 @@ def _plan(up: tuple[int, ...], first: int | None):
     return tuple(order), tuple(steps)
 
 
-def induced_embeddings(P: Poset, up, down, pinned: int | None = None):
+def induced_embeddings(P: Poset, up, down):
     """Yield every induced copy of P, as an EmbeddingWitness, among targets
     0..k-1 ordered by the rows ``up[j]`` / ``down[j]`` (bit i set iff target
-    i lies strictly above / below target j).  With ``pinned`` only the
-    copies using that target, each once: it is placed first, as each element
-    of P in turn.  The rows must not change while the generator is in use.
+    i lies strictly above / below target j).  The rows must not change while
+    the generator is in use.
     """
     k = len(up)
     if P.size > k:
         return
     every = (1 << k) - 1
-    if pinned is None:
-        yield from _match(_plan(P.up, None), up, down, every, every)
-    else:
-        for a in range(P.size):
-            yield from _match(_plan(P.up, a), up, down, 1 << pinned, every)
+    yield from _match(_plan(P.up, None), up, down, every, every)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -306,11 +297,13 @@ def _pinned_plans(up: tuple[int, ...]) -> tuple:
     return tuple(plans)
 
 
-def has_pinned_copy(P: Poset, up, down, pinned: int, within: int | None = None) -> bool:
-    """True iff some induced copy of P among the targets ordered by ``up`` /
-    ``down`` (as for ``induced_embeddings``) uses target ``pinned`` and
-    only targets whose bits are set in ``within`` (default: every target;
-    ``within`` must contain the pin).
+def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None) -> bool:
+    """True iff target ``pinned`` lies in an induced copy of some poset in
+    ``forbidden`` among the targets ordered by ``up`` / ``down`` (as for
+    ``induced_embeddings``), using only targets whose bits are set in
+    ``within`` (default: every target; ``within`` must contain the pin).
+    This is the one blocked test: adding a set to a free family breaks
+    freeness iff the set lies in such a copy.
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one
@@ -318,11 +311,12 @@ def has_pinned_copy(P: Poset, up, down, pinned: int, within: int | None = None) 
     """
     if within is None:
         within = (1 << len(up)) - 1
-    if P.size > within.bit_count():
-        return False
-    for plan in _pinned_plans(P.up):
-        for _ in _match(plan, up, down, 1 << pinned, within):
-            return True
+    targets = within.bit_count()
+    for P in forbidden:
+        if P.size <= targets:
+            for plan in _pinned_plans(P.up):
+                for _ in _match(plan, up, down, 1 << pinned, within):
+                    return True
     return False
 
 

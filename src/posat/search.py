@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .errors import BadParam, NoLegs, NotSaturated, TooLarge
+from .errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from .family import (
     SWEEP_CAP,
     InclusionRows,
@@ -20,7 +20,6 @@ from .family import (
     blow_up,
     check_forbidden,
     complement_family,
-    cube_rows,
     is_induced_saturated,
     iter_induced_embeddings,
     singleton_difference_table,
@@ -34,7 +33,6 @@ from .poset import LegsWitness, Poset, dual, has_legs, has_pinned_copy, iter_leg
 @dataclass(frozen=True)
 class SearchConfig:
     time_limit: float | None = None
-    symmetry_reduction: bool = True
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,15 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
     """A maximal induced-free family: scan the 2^n sets in ascending mask
     order and add each one that completes no forbidden copy.  Above
     ``SWEEP_CAP`` sets it raises TooLarge before any work."""
+    if n < 0:
+        raise BadN(f"ground-set size must be >= 0, got {n}")
     if 1 << n > SWEEP_CAP:
         raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
     forbidden = check_forbidden(forbidden)
     rows = InclusionRows()
     for s in range(1 << n):
-        rows.push(s)
-        if rows.completes_copy(forbidden):
-            rows.pop()
+        if not rows.blocks(s, forbidden):
+            rows.push(s)
     return SetFamily.of(n, rows.members)
 
 
@@ -137,6 +136,8 @@ def certified_bounds(n: int, forbidden) -> SatStarResult:
     their complements that ``is_induced_saturated`` accepts.  Above
     2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1) members) are left
     out, and TooLarge is raised when no X or Y candidate is saturated."""
+    if n < 0:
+        raise BadN(f"ground-set size must be >= 0, got {n}")
     forbidden = check_forbidden(forbidden)
     lower, lower_kind = 1, "trivial"
     for P in (forbidden[0], dual(forbidden[0])) if len(forbidden) == 1 and n >= 3 else ():
@@ -162,24 +163,24 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     on the target size between the ``certified_bounds`` (none if they meet).
 
     Partial families are extended in ascending mask order and carried as
-    one bitset of masks; the inclusion rows of all of 2^[n] are built once
-    (``cube_rows``), and every test is a ``has_pinned_copy`` query on them
-    restricted to the members plus the tested mask.  A node first tests
-    each mask of its candidate range that is not yet known to be blocked
-    (adding it would put it in a forbidden copy) and passes the blocked
-    masks to its children: an induced copy survives added members,
-    so a mask blocked at a node stays blocked below it.  The free masks
-    become children, pruned (unless symmetry reduction is off) when some
-    transposition of the ground set maps the extended family to a
-    lexicographically smaller one; the test is
-    ``TranspositionLanes.canonical`` on the images the search carries, one
-    OR per push.  That is weaker than full orbit canonicity, and sound: the
-    witness returned, the lexicographically first maximal family, is
-    smallest in its orbit, and so is every prefix of it.  Leaves are
-    accepted iff no mask outside the family and not already known to be
-    blocked can be added.  On hitting the time limit the result carries the
-    best sound bounds so far with ``exact=False``.  With the bounds apart,
-    n > ``SEARCH_CAP`` raises TooLarge before any search.
+    one bitset of masks; the ``InclusionRows`` of every mask of 2^[n] are
+    built once, indexed by the mask, and every test is a
+    ``has_pinned_copy`` query on them restricted to the members plus the
+    tested mask.  A node first tests each mask of its candidate range that
+    is not yet known to be blocked (adding it would put it in a forbidden
+    copy) and passes the blocked masks to its children: an induced copy
+    survives added members, so a mask blocked at a node stays blocked below
+    it.  The free masks become children, pruned when some transposition of
+    the ground set maps the extended family to a lexicographically smaller
+    one; the test is ``TranspositionLanes.canonical`` on the images the
+    search carries, one OR per push.  That is weaker than full orbit
+    canonicity, and sound: the witness returned, the lexicographically
+    first maximal family, is smallest in its orbit, and so is every prefix
+    of it.  Leaves are accepted iff no mask outside the family and not
+    already known to be blocked can be added.  On hitting the time limit
+    the result carries the best sound bounds so far with ``exact=False``.
+    With the bounds apart, n > ``SEARCH_CAP`` raises TooLarge before any
+    search.
     """
     return _deepen(n, forbidden, config, certified_bounds)
 
@@ -189,8 +190,9 @@ def _greedy_bounds(n: int, forbidden) -> SatStarResult:
     return SatStarResult(n, forbidden, 1, "trivial", len(greedy), "greedy", greedy, len(greedy) == 1)
 
 
-def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatStarResult:
-    """The search from ``start_bounds``; the default, 1 up to lex greedy, is a test oracle."""
+def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetry=True) -> SatStarResult:
+    """The search from ``start_bounds``; the default, 1 up to lex greedy, and
+    ``symmetry=False`` (no transposition pruning) are test oracles."""
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     deadline = None
@@ -205,20 +207,14 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
     upper = bounds.upper_bound
 
     total = 1 << n
-    up, down = cube_rows(n)
-
-    def blocks(s: int, chosen: int) -> bool:
-        within = chosen | 1 << s
-        for P in forbidden:
-            if has_pinned_copy(P, up, down, s, within):
-                return True
-        return False
+    rows = InclusionRows(range(total))
+    up, down = rows.up, rows.down
 
     def maximal(chosen: int, blocked: int) -> bool:  # blocked here includes the members
         for s in range(total):
             if not blocked >> s & 1:
                 _check_deadline(deadline)
-                if not blocks(s, chosen):
+                if not has_pinned_copy(forbidden, up, down, s, chosen | 1 << s):
                     return False
         return True
 
@@ -232,7 +228,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
         for m in range(start, total - need + 1):
             if blocked >> m & 1:
                 continue
-            if blocks(m, chosen):
+            if has_pinned_copy(forbidden, up, down, m, chosen | 1 << m):
                 blocked |= 1 << m
             else:
                 free.append(m)
@@ -247,7 +243,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds) -> SatS
                 return found
         return None
 
-    lanes = TranspositionLanes.build(n) if config.symmetry_reduction else None
+    lanes = TranspositionLanes.build(n) if symmetry else None
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     try:
         for k in range(proven, upper):
@@ -357,7 +353,8 @@ def legs_witness_map(F: SetFamily, P: Poset) -> dict[int, int]:
         extended = tuple(sorted(F.members + (bit,)))
         pin = extended.index(bit)
         best = None  # (-|L'|, |H'|, H', L')
-        for w in iter_induced_embeddings(extended, P, pinned=pin):
+        # F is free, so every copy of P in F + {i} uses {i}
+        for w in iter_induced_embeddings(extended, P):
             for t in legs_triples:
                 if w.mapping[t.leg1] == pin:
                     other = t.leg2

@@ -40,7 +40,6 @@ from posat.errors import (
 from posat.family import (
     SWEEP_CAP,
     InclusionRows,
-    cube_rows,
     elems_of,
     full_mask,
     iter_induced_embeddings,
@@ -51,7 +50,7 @@ from posat.family import (
     singleton_difference_pairs,
     twin_classes,
 )
-from posat.poset import has_pinned_copy, induced_embeddings
+from posat.poset import has_pinned_copy
 
 from conftest import brute_has_induced_copy, brute_singleton_difference_pairs, vf2_embeddings
 
@@ -169,11 +168,11 @@ def test_embeddings_match_vf2(nx, F, P):
 @settings(max_examples=100, deadline=None)
 @given(families(max_n=4, max_members=8), posets(4))
 def test_pinned_embeddings_are_the_unpinned_ones_using_the_pin(F, P):
+    # the pinned query finds a copy iff some unpinned copy uses the pin
     unpinned = [w.mapping for w in iter_induced_embeddings(F.members, P)]
+    rows = InclusionRows(F.members)
     for j in range(len(F)):
-        pinned = [w.mapping for w in iter_induced_embeddings(F.members, P, pinned=j)]
-        assert len(pinned) == len(set(pinned))
-        assert set(pinned) == {m for m in unpinned if j in m}
+        assert has_pinned_copy([P], rows.up, rows.down, j) == any(j in m for m in unpinned)
 
 
 @given(st.lists(st.integers(0, 31), unique=True, max_size=10), st.data())
@@ -195,8 +194,14 @@ def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
 
 @pytest.mark.parametrize("n", range(7))
 def test_cube_rows_equal_the_rows_of_every_mask(n):
+    # the rows the exact search builds: indexed by the mask, bit x of up[m]
+    # (down[m]) set iff x is a proper superset (subset) of m
     rows = InclusionRows(range(1 << n))
-    assert cube_rows(n) == (rows.up, rows.down)
+    assert rows.members == list(range(1 << n))
+    for m in range(1 << n):
+        for x in range(1 << n):
+            assert rows.up[m] >> x & 1 == (x != m and m & ~x == 0)
+            assert rows.down[m] >> x & 1 == (x != m and x & ~m == 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,11 +211,25 @@ def test_pinned_query_within_the_cube_rows_matches_rows_of_the_targets(n_within,
     # a query on the rows of all of 2^[n], restricted to ``within``, is the
     # query on the rows of the masks in ``within`` alone
     n, within = n_within
-    up, down = cube_rows(n)
+    cube = InclusionRows(range(1 << n))
     masks = [m for m in range(1 << n) if within >> m & 1]
     rows = InclusionRows(masks)
     for j, s in enumerate(masks):
-        assert has_pinned_copy(P, up, down, s, within) == has_pinned_copy(P, rows.up, rows.down, j)
+        assert has_pinned_copy([P], cube.up, cube.down, s, within) == has_pinned_copy([P], rows.up, rows.down, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, (1 << (1 << n)) - 1))),
+       st.lists(st.sampled_from(catalog_small(5)), min_size=1, max_size=3))
+def test_pinned_query_on_several_posets_is_any_single_query(n_within, forbidden):
+    # one query over the forbidden list, with and without ``within``, is
+    # the OR of the queries for each poset alone
+    n, within = n_within
+    cube = InclusionRows(range(1 << n))
+    for s in range(1 << n):
+        for limit in (None, within | 1 << s):
+            single = any(has_pinned_copy([P], cube.up, cube.down, s, limit) for P in forbidden)
+            assert has_pinned_copy(forbidden, cube.up, cube.down, s, limit) == single
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,9 +237,7 @@ def test_pinned_query_within_the_cube_rows_matches_rows_of_the_targets(n_within,
 def test_orbit_pinned_query_matches_every_placement(F, P):
     rows = InclusionRows(F.members)
     for j in range(len(F)):
-        every = next(induced_embeddings(P, rows.up, rows.down, j), None) is not None
-        assert has_pinned_copy(P, rows.up, rows.down, j) == every
-        assert every == brute_has_induced_copy(F.members, P, pinned=j)
+        assert has_pinned_copy([P], rows.up, rows.down, j) == brute_has_induced_copy(F.members, P, pinned=j)
 
 
 @settings(max_examples=100, deadline=None)

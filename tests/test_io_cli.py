@@ -67,7 +67,7 @@ def test_digraph_roundtrip(n, data):
 
 
 def test_comments_and_blank_lines_ignored():
-    F = parse_family("# header\nn=3\n\n{1,3}  # a member\n{}\n")
+    F = parse_family("# header\nn=3\n\n{1,3}  # a member\n{}\n{ }\n{ 1 , 3 }\n")
     assert F == SetFamily.of(3, [0, 0b101])
 
 
@@ -89,6 +89,15 @@ def test_parse_errors():
         parse_poset("elements=2\n1 << 2\n")
     with pytest.raises(ParseError):
         parse_digraph("vertices=2\n1 - 2\n")
+
+
+@pytest.mark.parametrize("member", ["{1,,2}", "{1 2}", "{1,}", "{,}", "{,1}"])
+def test_malformed_family_members_are_parse_errors(tmp_path, capsys, member):
+    with pytest.raises(ParseError):
+        parse_family(f"n=3\n{member}\n")
+    fam = write(tmp_path, "bad.txt", f"n=3\n{member}\n")
+    assert main(["check-saturated", "--family", fam, "--poset", "name=X"]) == 3
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_dot_outputs_are_wellformed():
@@ -144,6 +153,13 @@ def test_cli_satstar_too_large_exit_code(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_cli_satstar_negative_n_exit_code(capsys):
+    # a negative ground-set size is a usage error, with or without --bounds
+    for extra in ([], ["--bounds"]):
+        assert main(["satstar", "--n", "-1", "--poset", "name=fork", *extra]) == 2
+        assert "ground-set size" in capsys.readouterr().err
+
+
 def test_cli_satstar_certified_beyond_the_lane_cap(capsys):
     # fork's certified bounds meet at n = 9, so no search is needed
     assert main(["satstar", "--n", "9", "--poset", "name=fork"]) == 0
@@ -166,6 +182,11 @@ def test_cli_construct_roundtrips(tmp_path, capsys):
     assert len(F) == 12
     assert main(["construct", "--name", "wedge", "--n", "6"]) == 2  # missing --l
     assert main(["construct", "--name", "unique-pairs", "--n", "9"]) == 0
+    # --l is taken by wedge and xell only
+    for name in ("unique-pairs", "y-upper", "x-upper"):
+        assert main(["construct", "--name", name, "--n", "4", "--l", "7"]) == 2
+        assert "--l not taken" in capsys.readouterr().err
+    assert main(["construct", "--name", "wedge", "--n", "6", "--l", "2"]) == 0
 
 
 def test_cli_blowup(tmp_path, capsys):

@@ -28,7 +28,7 @@ from posat import (
     y_upper_family,
 )
 from posat import search
-from posat.errors import BadParam, NoLegs, NotSaturated, TooLarge
+from posat.errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from posat.family import InclusionRows
 from posat.search import TranspositionLanes, _deepen, certified_bounds
 
@@ -69,6 +69,12 @@ def test_greedy_sweep_is_capped():
     assert time.monotonic() - t0 < 1
 
 
+def test_negative_n_is_bad_n():
+    for run in (greedy_saturate, certified_bounds, exact_sat_star):
+        with pytest.raises(BadN):
+            run(-1, [catalog("fork")])
+
+
 # -- exact search -------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["fork", "diamond", "Yinv", "N"])
@@ -89,8 +95,8 @@ def test_exact_witness_attains_the_bound():
 @pytest.mark.parametrize("name", ["fork", "diamond", "Yinv"])
 def test_symmetry_reduction_changes_nothing(name):
     P = catalog(name)
-    plain = exact_sat_star(4, [P], SearchConfig(symmetry_reduction=False))
-    pruned = exact_sat_star(4, [P], SearchConfig(symmetry_reduction=True))
+    plain = _deepen(4, [P], start_bounds=certified_bounds, symmetry=False)
+    pruned = exact_sat_star(4, [P])
     assert plain.lower_bound == pruned.lower_bound
     assert plain.exact and pruned.exact
     # the first maximal free set in lex order is the smallest in its orbit
@@ -99,8 +105,8 @@ def test_symmetry_reduction_changes_nothing(name):
 
 def test_symmetry_reduction_keeps_the_witness_at_n3():
     for P in isomorphism_classes(catalog_small(5)):
-        plain = exact_sat_star(3, [P], SearchConfig(symmetry_reduction=False))
-        pruned = exact_sat_star(3, [P], SearchConfig(symmetry_reduction=True))
+        plain = _deepen(3, [P], start_bounds=certified_bounds, symmetry=False)
+        pruned = exact_sat_star(3, [P])
         assert plain.exact and pruned.exact
         assert plain.witness == pruned.witness
 
@@ -175,21 +181,30 @@ def test_symmetry_tables_are_capped_before_any_work():
     # the cap does not depend on the symmetry reduction
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
-        exact_sat_star(9, [catalog("diamond")], SearchConfig(symmetry_reduction=False, time_limit=1e-9))
+        _deepen(9, [catalog("diamond")], SearchConfig(time_limit=1e-9), certified_bounds, symmetry=False)
     assert time.monotonic() - t0 < 0.1
 
 
 def test_the_search_keeps_no_member_rows(monkeypatch):
-    # the DFS runs on the fixed rows of the cube: no InclusionRows push
+    # the DFS runs on the fixed rows of the cube: every mask is pushed once,
+    # in order, when the rows are built, and nothing is popped
     P = catalog("N")
     bounds = search._greedy_bounds(4, [P])
+    pushed = []
+    push = InclusionRows.push
 
-    def push(self, m):
-        raise AssertionError("the search pushed a member")
+    def counting_push(self, m):
+        pushed.append(m)
+        push(self, m)
 
-    monkeypatch.setattr(InclusionRows, "push", push)
+    def pop(self):
+        raise AssertionError("the search popped a member")
+
+    monkeypatch.setattr(InclusionRows, "push", counting_push)
+    monkeypatch.setattr(InclusionRows, "pop", pop)
     res = _deepen(4, [P], start_bounds=lambda n, forbidden: bounds)
     assert res.exact and res.lower_bound == 8 and res.witness == bounds.witness
+    assert pushed == list(range(16))
 
 
 def test_multiple_forbidden_posets_exact():
