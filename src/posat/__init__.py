@@ -47,6 +47,7 @@ from .poset import (
 from .search import (
     SatStarResult,
     SearchConfig,
+    SearchStats,
     boundedness_witness_check,
     certified_bounds,
     digraph_lower_bound_check,

@@ -146,7 +146,7 @@ class InclusionRows:
     def blocks(self, m: int, forbidden) -> bool:
         """True iff adding m would put it in an induced forbidden copy."""
         self.push(m)
-        blocked = has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1)
+        blocked = bool(has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1))
         self.pop()
         return blocked
 

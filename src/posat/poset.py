@@ -297,13 +297,14 @@ def _pinned_plans(up: tuple[int, ...]) -> tuple:
     return tuple(plans)
 
 
-def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None) -> bool:
-    """True iff target ``pinned`` lies in an induced copy of some poset in
-    ``forbidden`` among the targets ordered by ``up`` / ``down`` (as for
-    ``induced_embeddings``), using only targets whose bits are set in
-    ``within`` (default: every target; ``within`` must contain the pin).
-    This is the one blocked test: adding a set to a free family breaks
-    freeness iff the set lies in such a copy.
+def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None) -> int:
+    """The targets, as bits, of an induced copy of some poset in
+    ``forbidden`` through target ``pinned`` among the targets ordered by
+    ``up`` / ``down`` (as for ``induced_embeddings``), using only targets
+    whose bits are set in ``within`` (default: every target; ``within`` must
+    contain the pin); 0 when there is none.  The bits include the pin, so a
+    copy is never 0.  This is the one blocked test: adding a set to a free
+    family breaks freeness iff the set lies in such a copy.
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one
@@ -315,9 +316,12 @@ def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None)
     for P in forbidden:
         if P.size <= targets:
             for plan in _pinned_plans(P.up):
-                for _ in _match(plan, up, down, 1 << pinned, within):
-                    return True
-    return False
+                for w in _match(plan, up, down, 1 << pinned, within):
+                    bits = 0
+                    for j in w.mapping:
+                        bits |= 1 << j
+                    return bits
+    return 0
 
 
 def _match(plan, up, down, first: int, within: int):

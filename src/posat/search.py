@@ -36,12 +36,29 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """The work of one exact search: the DFS nodes visited (leaves
+    included), the leaves reached, the children the transposition lanes
+    pruned, the nodes the dead-mask lookahead pruned (leaves rejected as
+    not maximal included), the ``has_pinned_copy`` queries, and the seconds
+    spent on each target size k searched, as (k, seconds) pairs."""
+
+    nodes: int
+    leaves: int
+    symmetry_prunes: int
+    lookahead_prunes: int
+    queries: int
+    level_seconds: tuple[tuple[int, float], ...]
+
+
+@dataclass(frozen=True)
 class SatStarResult:
     """Bounds on the minimum saturated family size, with certificates.
 
     ``lower_kind`` is exhaustive, legs, double_legs or trivial; ``upper_kind``
     is exhaustive (the search), greedy or a construction such as x_upper,
     complement:y_upper or wedge_upper:2.  An exact witness attains the lower bound.
+    ``stats`` is set iff a search ran.
     """
 
     n: int
@@ -52,6 +69,7 @@ class SatStarResult:
     upper_kind: str
     witness: SetFamily | None
     exact: bool
+    stats: SearchStats | None = None
 
     def __post_init__(self):
         if self.lower_bound > self.upper_bound:
@@ -176,11 +194,27 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     search carries, one OR per push.  That is weaker than full orbit
     canonicity, and sound: the witness returned, the lexicographically
     first maximal family, is smallest in its orbit, and so is every prefix
-    of it.  Leaves are accepted iff no mask outside the family and not
-    already known to be blocked can be added.  On hitting the time limit
-    the result carries the best sound bounds so far with ``exact=False``.
-    With the bounds apart, n > ``SEARCH_CAP`` raises TooLarge before any
-    search.
+    of it.
+
+    After its candidate loop a node runs the dead-mask lookahead.  Its live
+    masks are the members plus every mask at or above the cursor not
+    known to be blocked; every later member is one of them.  A mask below
+    the cursor that is neither a member nor blocked is never added below
+    this node, so a maximal leaf must block it with live members: the node
+    is pruned when ``has_pinned_copy`` finds no copy through the mask
+    within the live masks.  Only subtrees with no maximal leaf go, so the
+    witness and the bounds stay the same.  Each mask watches the targets
+    of the copy last found through it (the two-watched-literal idea of
+    Moskewicz et al., "Chaff", DAC 2001) and is queried again only once a
+    target is no longer live; a watch is never restored on backtrack, as
+    every use checks it against the live masks.  A leaf is the same loop
+    with no future: the live masks are the members, and the leaf is
+    accepted iff every mask outside the family lies in a copy with them.
+
+    On hitting the time limit the result carries the best sound bounds so
+    far with ``exact=False``.  Every result of a search carries its
+    ``SearchStats``.  With the bounds apart, n > ``SEARCH_CAP`` raises
+    TooLarge before any search.
     """
     return _deepen(n, forbidden, config, certified_bounds)
 
@@ -207,36 +241,59 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     upper = bounds.upper_bound
 
     total = 1 << n
+    full = (1 << total) - 1
     rows = InclusionRows(range(total))
     up, down = rows.up, rows.down
-
-    def maximal(chosen: int, blocked: int) -> bool:  # blocked here includes the members
-        for s in range(total):
-            if not blocked >> s & 1:
-                _check_deadline(deadline)
-                if not has_pinned_copy(forbidden, up, down, s, chosen | 1 << s):
-                    return False
-        return True
+    # the targets of the copy through x found last; the initial bit lies
+    # outside the cube, so it is never live and the first test queries
+    watch = [1 << total] * total
+    nodes = leaves = symmetry_prunes = lookahead_prunes = queries = 0
 
     def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
         """The lex-first maximal free family of ``need`` more members above
         ``start`` extending ``chosen``, as a bitset of masks, or None."""
+        nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries
         _check_deadline(deadline)
-        if need == 0:
-            return chosen if maximal(chosen, blocked) else None
+        nodes += 1
         free = []
-        for m in range(start, total - need + 1):
-            if blocked >> m & 1:
-                continue
-            if has_pinned_copy(forbidden, up, down, m, chosen | 1 << m):
-                blocked |= 1 << m
-            else:
-                free.append(m)
+        live = chosen
+        if need:
+            for m in range(start, total - need + 1):
+                if blocked >> m & 1:
+                    continue
+                queries += 1
+                if has_pinned_copy(forbidden, up, down, m, chosen | 1 << m):
+                    blocked |= 1 << m
+                else:
+                    free.append(m)
+            live |= full >> start << start & ~blocked
+        else:
+            leaves += 1
+        # every later member is live, and a mask below the cursor that is
+        # neither chosen nor blocked is never added, so a maximal leaf
+        # below blocks it with live members; at a leaf, live is the members
+        dead = full & ~blocked & ~live
+        while dead:
+            low = dead & -dead
+            dead ^= low
+            within = live | low
+            x = low.bit_length() - 1
+            if watch[x] & ~within:
+                _check_deadline(deadline)
+                queries += 1
+                copy = has_pinned_copy(forbidden, up, down, x, within)
+                if not copy:
+                    lookahead_prunes += 1
+                    return None
+                watch[x] = copy
+        if not need:
+            return chosen
         for m in free:
             m_images = m_marks = 0
             if lanes is not None:
                 m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
                 if not lanes.canonical(m_images, m_marks):
+                    symmetry_prunes += 1
                     continue
             found = dfs(m + 1, need - 1, chosen | 1 << m, blocked | 1 << m, m_images, m_marks)
             if found is not None:
@@ -245,17 +302,26 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
 
     lanes = TranspositionLanes.build(n) if symmetry else None
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
+    levels = []
+
+    def stats() -> SearchStats:
+        return SearchStats(nodes, leaves, symmetry_prunes, lookahead_prunes, queries, tuple(levels))
+
     try:
         for k in range(proven, upper):
-            found = dfs(0, k, 0, 0, 0, 0)
+            t0 = time.monotonic()
+            try:
+                found = dfs(0, k, 0, 0, 0, 0)
+            finally:
+                levels.append((k, time.monotonic() - t0))
             if found is not None:
                 fam = SetFamily.of(n, (m for m in range(total) if found >> m & 1))
-                return SatStarResult(n, forbidden, k, proven_kind, k, "exhaustive", fam, exact=True)
+                return SatStarResult(n, forbidden, k, proven_kind, k, "exhaustive", fam, True, stats())
             proven, proven_kind = k + 1, "exhaustive"
     except _TimeUp:
         pass
     # exact iff every size below the upper bound was searched out
-    return replace(bounds, lower_bound=proven, lower_kind=proven_kind, exact=proven >= upper)
+    return replace(bounds, lower_bound=proven, lower_kind=proven_kind, exact=proven >= upper, stats=stats())
 
 
 # -- certificates ------------------------------------------------------------

@@ -65,9 +65,10 @@ def vf2_embeddings(nx, size: int, below, P: Poset) -> set[tuple[int, ...]]:
     return out
 
 
-def brute_sat_star_n3(P: Poset) -> int:
-    """Smallest maximal induced-P-free family over [3], by checking all
-    families in order of size."""
+def brute_first_saturated_n3(P: Poset) -> tuple[int, ...]:
+    """The first maximal induced-P-free family over [3], as sorted masks,
+    by checking all families in order of size and, within a size, in
+    lexicographic order: a smallest one, and the lex-first of those."""
     universe = range(8)
     for k in range(1, 9):
         for members in itertools.combinations(universe, k):
@@ -78,8 +79,13 @@ def brute_sat_star_n3(P: Poset) -> int:
                 for s in universe
                 if s not in members
             ):
-                return k
-    return 8
+                return members
+    return tuple(universe)
+
+
+def brute_sat_star_n3(P: Poset) -> int:
+    """Smallest maximal induced-P-free family size over [3]."""
+    return len(brute_first_saturated_n3(P))
 
 
 def brute_first_transitive_cycle(D: Digraph) -> tuple[tuple[int, int], int] | None:

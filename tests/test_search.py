@@ -30,9 +30,9 @@ from posat import (
 from posat import search
 from posat.errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from posat.family import InclusionRows
-from posat.search import TranspositionLanes, _deepen, certified_bounds
+from posat.search import SatStarResult, TranspositionLanes, _deepen, certified_bounds
 
-from conftest import brute_has_induced_copy, brute_sat_star_n3
+from conftest import brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
 
 
 # -- greedy -------------------------------------------------------------------
@@ -146,6 +146,18 @@ def test_time_limit_returns_sound_bounds():
     assert not res.exact
     assert 1 <= res.lower_bound <= res.upper_bound
     assert is_induced_saturated(res.witness, [catalog("N")]).saturated
+
+
+def test_time_limit_holds_inside_the_lookahead():
+    # N at n = 6 stays open after 90 s; the deadline is checked per query
+    t0 = time.monotonic()
+    res = exact_sat_star(6, [catalog("N")], SearchConfig(time_limit=0.5))
+    assert time.monotonic() - t0 < 1.5
+    assert not res.exact
+    assert res.lower_bound <= 12 <= res.upper_bound
+    assert len(res.witness) == res.upper_bound
+    assert is_induced_saturated(res.witness, [catalog("N")]).saturated
+    assert res.stats is not None and res.stats.nodes > 0
 
 
 def test_time_limit_covers_the_symmetry_tables():
@@ -262,6 +274,50 @@ def test_exact_witnesses_are_unchanged():
         res = exact_sat_star(n, [classes[name]])
         assert res.exact and res.lower_bound == res.upper_bound == len(members), (name, n)
         assert (res.lower_kind, res.upper_kind, res.witness.members) == (lower_kind, upper_kind, members), (name, n)
+
+
+def open_bounds(n, forbidden):
+    """Start bounds that prune nothing: 1 up to 2^n + 1, with no witness."""
+    return SatStarResult(n, tuple(forbidden), 1, "trivial", (1 << n) + 1, "none", None, False)
+
+
+def test_search_returns_the_brute_lex_first_family_at_n3():
+    # the search returns the first maximal free family in (size, lex)
+    # order, with or without the symmetry pruning
+    for P in isomorphism_classes(catalog_small(5)):
+        for Q in (P, dual(P)):
+            brute = brute_first_saturated_n3(Q)
+            for symmetry in (True, False):
+                res = _deepen(3, [Q], start_bounds=open_bounds, symmetry=symmetry)
+                assert res.exact and res.witness.members == brute, (Q, symmetry)
+
+
+@pytest.mark.parametrize("name", ["wedge", "vee"])
+def test_wedge3_and_vee3_are_exact_at_n5(name):
+    P = catalog(name, 3)
+    res = exact_sat_star(5, [P])
+    assert res.exact and res.lower_bound == res.upper_bound == 10
+    assert res.lower_kind == "exhaustive"
+    assert len(res.witness) == 10
+    assert is_induced_saturated(res.witness, [P]).saturated
+
+
+def test_search_stats_count_the_work():
+    # no search, no stats: the certified bounds meet for X at n = 5
+    assert exact_sat_star(5, [catalog("X")]).stats is None
+    res = _deepen(4, [catalog("N")], start_bounds=open_bounds, symmetry=False)
+    st = res.stats
+    assert res.exact and st is not None
+    assert [k for k, _ in st.level_seconds] == list(range(1, res.lower_bound + 1))
+    assert all(s >= 0 for _, s in st.level_seconds)
+    assert st.symmetry_prunes == 0
+    assert 1 <= st.leaves <= st.nodes
+    # a prune is a query that found no copy, at a node other than the
+    # witness leaf
+    assert 0 < st.lookahead_prunes < st.nodes
+    assert st.lookahead_prunes <= st.queries
+    pruned = _deepen(4, [catalog("N")], start_bounds=open_bounds).stats
+    assert pruned.symmetry_prunes > 0 and pruned.nodes < st.nodes
 
 
 # -- certified bounds ---------------------------------------------------------

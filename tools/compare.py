@@ -1,0 +1,95 @@
+"""Compare two checkouts of this repository on the benchmark and on the
+search frontier, and write the result as one JSON file.
+
+For each seed, ``perfbench/run.py --workload all --seconds S --trace 0`` runs
+in each checkout in turn (parent first), ``--runs`` times, and the medians
+of the end-to-end metrics are kept with every run; then ``tools/frontier.py``
+of this checkout runs once on each checkout's ``src``.  One process runs at
+a time.
+
+    python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+FRONTIER = Path(__file__).resolve().parent / "frontier.py"
+METRICS = ("wall_s", "solved_frac", "setup_s", "peak_rss_mb", "failed")
+
+
+def perfbench(checkout: Path, seed: int, seconds: float) -> dict:
+    """{workload: {metric: value}} from one run over every workload."""
+    out = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all",
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        check=True, capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    result = {}
+    for i, line in enumerate(lines):
+        if line.startswith("{"):
+            workload = next(l for l in reversed(lines[:i]) if " seed=" in l).split()[0]
+            record = json.loads(line)
+            result[workload] = {k: v["value"] for k, v in record["metrics"].items()}
+            result[workload]["failed"] = record["failed"]
+    return result
+
+
+def frontier(checkout: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = subprocess.run([sys.executable, str(FRONTIER)], check=True, capture_output=True, text=True, env=env).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[41])
+    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--seconds", type=float, default=40)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {
+        "what": f"medians of {args.runs} alternating parent/change runs of `python3 perfbench/run.py "
+                f"--workload all --seed SEED --seconds {args.seconds:g} --trace 0` (times in reference "
+                "seconds), then one pass of tools/frontier.py on each side",
+        "hardware": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
+                    f"Python {platform.python_version()}, one process at a time",
+        "perfbench": {},
+    }
+    for seed in args.seeds:
+        runs = {side: [] for side in sides}
+        for r in range(args.runs):
+            for side, checkout in sides.items():
+                runs[side].append(perfbench(checkout, seed, args.seconds))
+                print(f"seed {seed} run {r} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+        table = {}
+        for workload in runs["parent"][0]:
+            table[workload] = {}
+            for metric in METRICS:
+                entry = {}
+                for side in sides:
+                    values = [run[workload][metric] for run in runs[side]]
+                    entry[side] = statistics.median(values)
+                    entry[f"{side}_runs"] = values
+                table[workload][metric] = entry
+        report["perfbench"][f"seed {seed}"] = table
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["frontier"] = {}
+    for side, checkout in sides.items():
+        report["frontier"][side] = frontier(checkout)
+        print(f"frontier {side} done", file=sys.stderr, flush=True)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
