@@ -27,7 +27,7 @@ from .family import (
     x_upper_family,
     y_upper_family,
 )
-from .poset import LegsWitness, Poset, dual, has_legs, has_pinned_copy, iter_legs_witnesses
+from .poset import LegsWitness, Poset, dual, has_legs, induced_embeddings, iter_legs_witnesses
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,11 @@ class SearchStats:
     """The work of one exact search: the DFS nodes visited (leaves
     included), the leaves reached, the children the transposition lanes
     pruned, the nodes the dead-mask lookahead pruned (leaves rejected as
-    not maximal included), the ``has_pinned_copy`` queries, and the seconds
-    spent on each target size k searched, as (k, seconds) pairs."""
+    not maximal included), the copy-table queries (one per freeness test
+    and per lookahead test), the seconds spent on each target size k
+    searched, as (k, seconds) pairs, the distinct forbidden copies in
+    2^[n] the copy table indexes (0 when the time limit fell before it was
+    built), and the seconds its build took."""
 
     nodes: int
     leaves: int
@@ -49,6 +52,8 @@ class SearchStats:
     lookahead_prunes: int
     queries: int
     level_seconds: tuple[tuple[int, float], ...]
+    copies: int
+    build_seconds: float
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,84 @@ def _check_deadline(deadline: float | None) -> None:
         raise _TimeUp
 
 
+class _CopyTable:
+    """Every induced copy of a forbidden poset among the masks of 2^[n], as
+    a bitset of masks, indexed for ``copy_through``: ``through[x]`` lists
+    the copies containing mask x in ascending order, and ``keep[x][c][v]``
+    has bit i set iff copy ``through[x][i]`` avoids every mask 4c + b with
+    bit b set in v (the "four Russians" tables of Arlazarov et al., 1970).
+    Row v is row v minus its lowest bit, ANDed with the row of that one
+    mask.  ``tail[x][c]`` is the AND of rows 15 of the chunks from c on:
+    the copies through x that avoid every mask from 4c on."""
+
+    def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
+        """Enumerate the copies on the cube ``rows`` and build the tables,
+        checking ``deadline`` as it goes; raises TooLarge as soon as the
+        memberships (sum of the copy sizes) cross ``SWEEP_CAP``."""
+        total = len(rows.up)
+        self.full = (1 << total) - 1
+        pow2 = [1 << j for j in range(total)]
+        through = [[] for _ in range(total)]
+        seen = set()
+        memberships = 0
+        for P in forbidden:
+            for e, w in enumerate(induced_embeddings(P, rows.up, rows.down)):
+                if not e & 1023:
+                    _check_deadline(deadline)
+                bits = sum(map(pow2.__getitem__, w.mapping))
+                if bits in seen:
+                    continue
+                seen.add(bits)
+                memberships += P.size
+                if memberships > SWEEP_CAP:
+                    raise TooLarge(f"the forbidden copies among the {total} masks hold over "
+                                   f"{SWEEP_CAP} memberships, over the cap")
+                for j in w.mapping:
+                    through[j].append(bits)
+        self.copies = len(seen)
+        self.through = through
+        self.keep, self.tail = [], []
+        stride = max(total, 8)  # bits per copy in the grid below, whole bytes
+        for x, copies in enumerate(through):
+            _check_deadline(deadline)
+            copies.sort()
+            # the copies side by side, copy i at bit i * stride, read as one
+            # string of '1' where the copy avoids the mask: the column of
+            # mask t read in base 2 has bit i for copy i
+            ones = (1 << len(copies)) - 1
+            packed = int.from_bytes(b"".join(c.to_bytes(stride // 8, "big") for c in reversed(copies)), "big")
+            grid = format(packed ^ (1 << len(copies) * stride) - 1, f"0{len(copies) * stride}b")
+            # below n = 2 the one chunk runs past the masks: pad it
+            avoid = [int(grid[stride - 1 - t::stride] or "0", 2) for t in range(total)] + [ones] * 3
+            chunks = []
+            for c in range(0, total, 4):
+                row = [ones] * 16
+                for v in range(1, 16):
+                    low = v & -v
+                    row[v] = row[v ^ low] & avoid[c + low.bit_length() - 1]
+                chunks.append(row)
+            self.keep.append(chunks)
+            tail = [ones]
+            for row in reversed(chunks):
+                tail.append(tail[-1] & row[15])
+            self.tail.append(tail[::-1])
+
+    def copy_through(self, x: int, within: int) -> int:
+        """The lowest copy through mask x inside the masks set in ``within``
+        (which must contain x), as a bitset of masks; 0 when there is none.
+        Every mask above the highest one in ``within`` is outside it, so
+        the chunks from ``top`` on are one ``tail`` lookup."""
+        top = (within.bit_length() + 3) >> 2
+        alive = self.tail[x][top]
+        out = self.full ^ within
+        for row in self.keep[x][:top]:
+            alive &= row[out & 15]
+            if not alive:
+                return 0
+            out >>= 4
+        return self.through[x][(alive & -alive).bit_length() - 1]
+
+
 def certified_bounds(n: int, forbidden) -> SatStarResult:
     """Bounds on the minimum saturated family size known without search.
     Lower: the larger legs certificate of the single forbidden poset P and
@@ -181,15 +264,21 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     on the target size between the ``certified_bounds`` (none if they meet).
 
     Partial families are extended in ascending mask order and carried as
-    one bitset of masks; the ``InclusionRows`` of every mask of 2^[n] are
-    built once, indexed by the mask, and every test is a
-    ``has_pinned_copy`` query on them restricted to the members plus the
-    tested mask.  A node first tests each mask of its candidate range that
-    is not yet known to be blocked (adding it would put it in a forbidden
-    copy) and passes the blocked masks to its children: an induced copy
-    survives added members, so a mask blocked at a node stays blocked below
-    it.  The free masks become children, pruned when some transposition of
-    the ground set maps the extended family to a lexicographically smaller
+    one bitset of masks.  Before the first node, every induced forbidden
+    copy in 2^[n] is listed once, on the ``InclusionRows`` of the cube, and
+    indexed by mask in a copy table; every test is one table query: the
+    lowest copy through a mask inside a set of masks, or none (the answer
+    of ``has_pinned_copy`` on the same rows, found by a few ANDs of
+    precomputed bitsets over the copies instead of a backtracking match).
+    Building the table keeps the time limit, and raises TooLarge as soon as
+    the copies hold more than ``SWEEP_CAP`` memberships (N at n = 7 does).
+
+    A node first tests each mask of its candidate range that is not yet
+    known to be blocked (adding it would put it in a forbidden copy) and
+    passes the blocked masks to its children: an induced copy survives
+    added members, so a mask blocked at a node stays blocked below it.
+    The free masks become children, pruned when some transposition of the
+    ground set maps the extended family to a lexicographically smaller
     one; the test is ``TranspositionLanes.canonical`` on the images the
     search carries, one OR per push.  That is weaker than full orbit
     canonicity, and sound: the witness returned, the lexicographically
@@ -201,9 +290,9 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     known to be blocked; every later member is one of them.  A mask below
     the cursor that is neither a member nor blocked is never added below
     this node, so a maximal leaf must block it with live members: the node
-    is pruned when ``has_pinned_copy`` finds no copy through the mask
-    within the live masks.  Only subtrees with no maximal leaf go, so the
-    witness and the bounds stay the same.  Each mask watches the targets
+    is pruned when the table has no copy through the mask within the live
+    masks.  Only subtrees with no maximal leaf go, so the witness and the
+    bounds stay the same.  Each mask watches the targets
     of the copy last found through it (the two-watched-literal idea of
     Moskewicz et al., "Chaff", DAC 2001) and is queried again only once a
     target is no longer live; a watch is never restored on backtrack, as
@@ -211,10 +300,10 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     with no future: the live masks are the members, and the leaf is
     accepted iff every mask outside the family lies in a copy with them.
 
-    On hitting the time limit the result carries the best sound bounds so
-    far with ``exact=False``.  Every result of a search carries its
-    ``SearchStats``.  With the bounds apart, n > ``SEARCH_CAP`` raises
-    TooLarge before any search.
+    On hitting the time limit, in the table build or in the search, the
+    result carries the best sound bounds so far with ``exact=False``.
+    Every result of a search carries its ``SearchStats``.  With the bounds
+    apart, n > ``SEARCH_CAP`` raises TooLarge before any search.
     """
     return _deepen(n, forbidden, config, certified_bounds)
 
@@ -242,12 +331,12 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
 
     total = 1 << n
     full = (1 << total) - 1
-    rows = InclusionRows(range(total))
-    up, down = rows.up, rows.down
+    table = None
     # the targets of the copy through x found last; the initial bit lies
     # outside the cube, so it is never live and the first test queries
     watch = [1 << total] * total
     nodes = leaves = symmetry_prunes = lookahead_prunes = queries = 0
+    build_seconds = 0.0
 
     def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
         """The lex-first maximal free family of ``need`` more members above
@@ -262,7 +351,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
                 if blocked >> m & 1:
                     continue
                 queries += 1
-                if has_pinned_copy(forbidden, up, down, m, chosen | 1 << m):
+                if table.copy_through(m, chosen | 1 << m):
                     blocked |= 1 << m
                 else:
                     free.append(m)
@@ -281,7 +370,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
             if watch[x] & ~within:
                 _check_deadline(deadline)
                 queries += 1
-                copy = has_pinned_copy(forbidden, up, down, x, within)
+                copy = table.copy_through(x, within)
                 if not copy:
                     lookahead_prunes += 1
                     return None
@@ -305,9 +394,16 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     levels = []
 
     def stats() -> SearchStats:
-        return SearchStats(nodes, leaves, symmetry_prunes, lookahead_prunes, queries, tuple(levels))
+        copies = table.copies if table is not None else 0
+        return SearchStats(nodes, leaves, symmetry_prunes, lookahead_prunes, queries, tuple(levels),
+                           copies, build_seconds)
 
     try:
+        t0 = time.monotonic()
+        try:
+            table = _CopyTable(forbidden, InclusionRows(range(total)), deadline)
+        finally:
+            build_seconds = time.monotonic() - t0
         for k in range(proven, upper):
             t0 = time.monotonic()
             try:

@@ -30,7 +30,8 @@ from posat import (
 from posat import search
 from posat.errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from posat.family import InclusionRows
-from posat.search import SatStarResult, TranspositionLanes, _deepen, certified_bounds
+from posat.poset import has_pinned_copy
+from posat.search import SatStarResult, TranspositionLanes, _CopyTable, _deepen, certified_bounds
 
 from conftest import brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
 
@@ -172,6 +173,15 @@ def test_time_limit_covers_the_symmetry_tables():
     res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
     assert res.exact and res.lower_bound == res.upper_bound == 9
     assert res.lower_kind == "legs" and res.upper_kind == "greedy"
+
+
+def test_copy_table_is_capped():
+    # N has 388,206 copies in 2^[7] and more in 2^[8]: their memberships
+    # cross SWEEP_CAP early in the enumeration, with no time limit set
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(8, [catalog("N")])
+    assert time.monotonic() - t0 < 5
 
 
 def test_symmetry_tables_are_capped_before_any_work():
@@ -318,6 +328,58 @@ def test_search_stats_count_the_work():
     assert st.lookahead_prunes <= st.queries
     pruned = _deepen(4, [catalog("N")], start_bounds=open_bounds).stats
     assert pruned.symmetry_prunes > 0 and pruned.nodes < st.nodes
+
+
+def test_antichain5_is_exact_at_n5():
+    P = catalog("antichain", 5)
+    res = exact_sat_star(5, [P])
+    assert res.exact and res.lower_bound == res.upper_bound == 18
+    assert res.lower_kind == "exhaustive"
+    assert len(res.witness) == 18
+    assert is_induced_saturated(res.witness, [P]).saturated
+
+
+# -- the copy table -----------------------------------------------------------
+
+def test_copy_table_counts_the_copies_of_the_diamond_at_n4():
+    P = catalog("diamond")
+    brute = sum(brute_has_induced_copy(members, P) for members in itertools.combinations(range(16), 4))
+    assert brute == 151
+    st = exact_sat_star(4, [P]).stats
+    assert st.copies == brute and st.build_seconds >= 0
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_copy_table_agrees_with_the_pinned_query(n):
+    # the search's one query: a copy through x inside ``within`` exists iff
+    # has_pinned_copy finds one, and the copy returned is an induced copy
+    # of a forbidden poset through x inside ``within``; up to n = 3 it is
+    # the lowest one as a bitset of masks
+    rng = random.Random(n)
+    total = 1 << n
+    cube = InclusionRows(range(total))
+    lists = [[P] for P in isomorphism_classes(catalog_small(5))]
+    lists.append([catalog("chain", 3), catalog("antichain", 3)])
+    for forbidden in lists:
+        table = _CopyTable(forbidden, cube, None)
+        for x in range(total):
+            # the whole cube, then dense and sparse draws
+            draws = [(1 << total) - 1]
+            for _ in range(8):
+                draws += [rng.getrandbits(total), rng.getrandbits(total) & rng.getrandbits(total)]
+            for within in draws:
+                within |= 1 << x
+                copy = table.copy_through(x, within)
+                assert bool(copy) == bool(has_pinned_copy(forbidden, cube.up, cube.down, x, within)), (forbidden, x)
+                if copy:
+                    assert copy & ~within == 0 and copy >> x & 1
+                    members = tuple(m for m in range(total) if copy >> m & 1)
+                    assert any(P.size == len(members) and brute_has_induced_copy(members, P) for P in forbidden)
+                if n <= 3:
+                    inside = [m for m in range(total) if within >> m & 1]
+                    assert copy == min((sum(1 << m for m in members) for P in forbidden
+                                        for members in itertools.combinations(inside, P.size)
+                                        if x in members and brute_has_induced_copy(members, P)), default=0)
 
 
 # -- certified bounds ---------------------------------------------------------

@@ -3,9 +3,12 @@ search frontier, and write the result as one JSON file.
 
 For each seed, ``perfbench/run.py --workload all --seconds S --trace 0`` runs
 in each checkout in turn (parent first), ``--runs`` times, and the medians
-of the end-to-end metrics are kept with every run; then ``tools/frontier.py``
-of this checkout runs once on each checkout's ``src``.  One process runs at
-a time.
+of the end-to-end metrics are kept with every run.  Then ``tools/frontier.py``
+of this checkout runs ``--runs`` times on each checkout's ``src``, in turn
+again: each task keeps the record of its median-seconds pass with every
+pass's seconds and bounds, and the script fails when the bounds of a
+task's passes on one side contradict each other.  One process runs at a
+time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
 """
@@ -48,6 +51,25 @@ def frontier(checkout: Path) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
+def frontier_medians(passes: list[list[dict]]) -> list[dict]:
+    """One record per task from several frontier passes of one checkout:
+    the record of the pass with the median seconds, with ``seconds`` the
+    median and ``seconds_runs`` and ``bounds_runs`` every pass's seconds
+    and bounds.  A pass cut by its time limit stops at bounds that depend
+    on the machine's speed, so passes may differ, but every pass's bounds
+    must contain the true value: the script fails when they share none."""
+    table = []
+    for records in zip(*passes):
+        bounds = [(r["lower"], r["upper"]) for r in records]
+        if max(lo for lo, _ in bounds) > min(up for _, up in bounds):
+            raise SystemExit(f"frontier {records[0]['poset']} at n = {records[0]['n']}: "
+                             f"the bounds of the runs contradict each other: {bounds}")
+        seconds = [r["seconds"] for r in records]
+        median = records[seconds.index(statistics.median_low(seconds))]
+        table.append(dict(median, seconds=statistics.median(seconds), seconds_runs=seconds, bounds_runs=bounds))
+    return table
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -61,7 +83,7 @@ def main(argv=None) -> None:
     report = {
         "what": f"medians of {args.runs} alternating parent/change runs of `python3 perfbench/run.py "
                 f"--workload all --seed SEED --seconds {args.seconds:g} --trace 0` (times in reference "
-                "seconds), then one pass of tools/frontier.py on each side",
+                f"seconds), then the medians of {args.runs} alternating passes of tools/frontier.py",
         "hardware": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                     f"Python {platform.python_version()}, one process at a time",
         "perfbench": {},
@@ -84,10 +106,16 @@ def main(argv=None) -> None:
                 table[workload][metric] = entry
         report["perfbench"][f"seed {seed}"] = table
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    passes = {side: [] for side in sides}
+    for r in range(args.runs):
+        for side, checkout in sides.items():
+            passes[side].append(frontier(checkout))
+            print(f"frontier run {r} {side} done", file=sys.stderr, flush=True)
     report["frontier"] = {}
-    for side, checkout in sides.items():
-        report["frontier"][side] = frontier(checkout)
-        print(f"frontier {side} done", file=sys.stderr, flush=True)
+    try:
+        for side in sides:
+            report["frontier"][side] = frontier_medians(passes[side])
+    finally:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 
