@@ -241,12 +241,14 @@ def has_legs(P: Poset) -> LegsWitness | None:
 # -- induced embedding: the one matcher -------------------------------------
 
 @functools.lru_cache(maxsize=1024)
-def _plan(up: tuple[int, ...], first: int | None):
+def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()):
     """For the poset with relation rows ``up``: its elements in placement
     order (``first``, if given, then most relations to the elements already
     placed, then most relations, then lowest index), and per step the
     earlier steps the element lies below, lies above and is incomparable
-    to, plus its up- and down-degree."""
+    to, its up- and down-degree, and the earlier steps whose targets must
+    lie below its target: a pair (a, b) in ``less``, with a placed before
+    b, puts the target of a below the target of b."""
     p = len(up)
     down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
     rel = [up[a] | down[a] for a in range(p)]
@@ -262,7 +264,8 @@ def _plan(up: tuple[int, ...], first: int | None):
         below = tuple(s for s in range(t) if up[a] >> order[s] & 1)
         above = tuple(s for s in range(t) if down[a] >> order[s] & 1)
         apart = tuple(s for s in range(t) if not rel[a] >> order[s] & 1)
-        steps.append((below, above, apart, up[a].bit_count(), down[a].bit_count()))
+        after = tuple(s for s in range(t) if (order[s], a) in less)
+        steps.append((below, above, apart, up[a].bit_count(), down[a].bit_count(), after))
     return tuple(order), tuple(steps)
 
 
@@ -279,20 +282,55 @@ def induced_embeddings(P: Poset, up, down):
     yield from _match(_plan(P.up, None), up, down, every, every)
 
 
+def induced_copies(P: Poset, up, down):
+    """Yield one induced copy of P per image, as an EmbeddingWitness, among
+    the targets ordered by ``up`` / ``down`` (as for ``induced_embeddings``,
+    which yields each image once per automorphism of P)."""
+    k = len(up)
+    if P.size > k:
+        return
+    every = (1 << k) - 1
+    yield from _match(_copy_plan(P.up), up, down, every, every)
+
+
 @functools.lru_cache(maxsize=1024)
-def _pinned_plans(up: tuple[int, ...]) -> tuple:
-    """The placement plans of the poset with relation rows ``up`` that place
-    first the smallest element of each automorphism orbit; the automorphisms
-    are its induced copies in itself."""
+def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of the poset with relation rows ``up``: its induced
+    copies in itself, as mappings."""
     p = len(up)
     down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
     every = (1 << p) - 1
-    autos = [w.mapping for w in _match(_plan(up, None), up, down, every, every)]
+    return tuple(w.mapping for w in _match(_plan(up, None), up, down, every, every))
+
+
+@functools.lru_cache(maxsize=1024)
+def _copy_plan(up: tuple[int, ...]):
+    """The placement plan of the poset with relation rows ``up`` that admits
+    one embedding per image.  Along a stabilizer chain of the automorphism
+    group G, in placement order, element a must take the lowest target of
+    its orbit under the automorphisms fixing every element placed before
+    a (so the rest of the orbit is placed after a).  Of the |G| embeddings
+    f∘σ with one image, the first constraint keeps those with σ(a1) fixed,
+    a coset of the stabilizer of a1, the next one a coset of the stabilizer
+    of a1 and a2 within it, and so on: exactly one passes them all."""
+    order = _plan(up, None)[0]
+    less = []
+    group = _automorphisms(up)
+    for a in order:
+        less += [(a, b) for b in sorted({f[a] for f in group}) if b != a]
+        group = [f for f in group if f[a] == a]
+    return _plan(up, None, tuple(less))
+
+
+@functools.lru_cache(maxsize=1024)
+def _pinned_plans(up: tuple[int, ...]) -> tuple:
+    """The placement plans of the poset with relation rows ``up`` that place
+    first the smallest element of each automorphism orbit."""
     plans, seen = [], 0
-    for a in range(p):
+    for a in range(len(up)):
         if not seen >> a & 1:
             plans.append(_plan(up, a))
-            for f in autos:
+            for f in _automorphisms(up):
                 seen |= 1 << f[a]
     return tuple(plans)
 
@@ -327,7 +365,8 @@ def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None)
 def _match(plan, up, down, first: int, within: int):
     """Backtracking over the plan's steps, on the targets in ``within``:
     the candidates of a step are the AND of the rows of the targets already
-    placed, minus the used ones, and the first step's are ``first``."""
+    placed, minus the used ones, above the targets its order constraints
+    name, and the first step's are ``first``."""
     order, steps = plan
     p = len(order)
     if p == 0:
@@ -361,7 +400,7 @@ def _match(plan, up, down, first: int, within: int):
             continue
         used |= low
         t += 1
-        below, above, apart, _, _ = steps[t]
+        below, above, apart, _, _, after = steps[t]
         c = within & ~used
         for s in below:
             c &= down[image[s]]
@@ -369,6 +408,8 @@ def _match(plan, up, down, first: int, within: int):
             c &= up[image[s]]
         for s in apart:
             c &= ~(up[image[s]] | down[image[s]])
+        for s in after:
+            c &= -2 << image[s]
         cands[t] = c
 
 

@@ -27,7 +27,7 @@ from .family import (
     x_upper_family,
     y_upper_family,
 )
-from .poset import LegsWitness, Poset, dual, has_legs, induced_embeddings, iter_legs_witnesses
+from .poset import LegsWitness, Poset, dual, has_legs, induced_copies, isomorphic, isomorphism_classes, iter_legs_witnesses
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,16 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """The work of one exact search: the DFS nodes visited (leaves
-    included), the leaves reached, the children the transposition lanes
-    pruned, the nodes the dead-mask lookahead pruned (leaves rejected as
-    not maximal included), the copy-table queries (one per freeness test
-    and per lookahead test), the seconds spent on each target size k
-    searched, as (k, seconds) pairs, the distinct forbidden copies in
-    2^[n] the copy table indexes (0 when the time limit fell before it was
-    built), and the seconds its build took."""
+    """The work of one exact search: the DFS nodes visited (the families
+    of the target size tested for maximality included), those families
+    (leaves), the children the symmetry lanes pruned, the nodes the
+    dead-mask lookahead pruned (leaves rejected as not maximal included),
+    the copy-table queries (``copy_through`` calls of the lookahead and
+    ``blocked_by`` calls, one per child and one per mask a leaf test
+    reads), the seconds spent on each target size k searched, as
+    (k, seconds) pairs, the distinct forbidden copies in 2^[n] the copy
+    table indexes (0 when the time limit fell before it was built), and
+    the seconds its build took."""
 
     nodes: int
     leaves: int
@@ -109,40 +111,48 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
 @dataclass(frozen=True)
 class TranspositionLanes:
     """The image of every mask under every transposition (i j), i < j, of
-    the ground set, in lexicographic order, packed into one int per mask:
-    lane t of ``image[m]`` has bit g_t(m) set."""
+    the ground set, in lexicographic order, then, with complement lanes,
+    under complementation and under complementation after each (i j), in
+    the same order, packed into one int per mask: lane t of ``image[m]``
+    has bit g_t(m) + 1 set, and bit 0 of every lane is spare."""
 
     image: tuple[int, ...]
-    ones: int  # bit 0 of every lane
+    ones: int  # the bit of mask 0 in every lane
+    spare: int  # bit 0 of every lane
 
     def canonical(self, images: int, marks: int) -> bool:
-        """True iff no transposition maps the mask set S to a
+        """True iff no lane's map takes the mask set S to a
         lexicographically smaller set, given ``images``, the OR of
-        ``image[m]`` over m in S, and ``marks``, S copied into every lane.
+        ``image[m]`` over m in S, and ``marks``, S copied into every lane
+        (``ones << m`` for each m).
 
         For equal-size sets, sorted(g(S)) < sorted(S) iff the lowest mask of
         S xor g(S) lies in g(S), so S passes iff in every lane of
-        x = images ^ marks the lowest set bit, if any, is marked.  Every
-        transposition fixes mask 0, so bit 0 of each lane of x is clear:
-        subtracting ``ones``, plus the borrow out of a clear lane below,
-        clears the lowest set bit of each nonzero lane and borrows no
-        further.
+        x = images ^ marks the lowest set bit, if any, is marked.  The spare
+        bit 0 of each lane of x is clear (a transposition fixes mask 0, but
+        complementation does not): subtracting ``spare``, plus the borrow
+        out of a clear lane below, clears the lowest set bit of each nonzero
+        lane and borrows no further.
         """
         x = images ^ marks
-        return not x & ~(x - self.ones) & ~marks
+        return not x & ~(x - self.spare) & ~marks
 
     @classmethod
-    def build(cls, n: int) -> "TranspositionLanes":
-        """The lanes of every mask over [n]: C(n, 2) lanes of 2^n bits (at
-        least a byte) each."""
+    def build(cls, n: int, complement: bool = False) -> "TranspositionLanes":
+        """The lanes of every mask over [n]: C(n, 2) lanes, and C(n, 2) + 1
+        more with ``complement``, of 2^n + 1 bits (whole bytes) each."""
         # (i j) moves m iff m has exactly one of the two bits
         swaps = [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
-        one_hot = [(1 << v).to_bytes(((1 << n) + 7) // 8, "little") for v in range(1 << n)]
-        image = tuple(
-            int.from_bytes(b"".join(one_hot[m ^ s if 0 < m & s < s else m] for s in swaps), "little")
-            for m in range(1 << n)
-        )
-        return cls(image, int.from_bytes(one_hot[0] * len(swaps), "little"))
+        top = (1 << n) - 1
+        one_hot = [(2 << v).to_bytes(((1 << n) + 8) // 8, "little") for v in range(1 << n)]
+        image = []
+        for m in range(1 << n):
+            moved = [m ^ s if 0 < m & s < s else m for s in swaps]
+            if complement:
+                moved += [g ^ top for g in [m] + moved]
+            image.append(int.from_bytes(b"".join(map(one_hot.__getitem__, moved)), "little"))
+        ones = int.from_bytes(one_hot[0] * (len(swaps) + (len(swaps) + 1 if complement else 0)), "little")
+        return cls(tuple(image), ones, ones >> 1)
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -152,41 +162,40 @@ def _check_deadline(deadline: float | None) -> None:
 
 class _CopyTable:
     """Every induced copy of a forbidden poset among the masks of 2^[n], as
-    a bitset of masks, indexed for ``copy_through``: ``through[x]`` lists
-    the copies containing mask x in ascending order, and ``keep[x][c][v]``
-    has bit i set iff copy ``through[x][i]`` avoids every mask 4c + b with
-    bit b set in v (the "four Russians" tables of Arlazarov et al., 1970).
-    Row v is row v minus its lowest bit, ANDed with the row of that one
-    mask.  ``tail[x][c]`` is the AND of rows 15 of the chunks from c on:
-    the copies through x that avoid every mask from 4c on."""
+    a bitset of masks, indexed for ``copy_through`` and ``blocked_by``:
+    ``through[x]`` lists the copies containing mask x in ascending order,
+    and ``keep[x][c][v]`` has bit i set iff copy ``through[x][i]`` avoids
+    every mask 4c + b with bit b set in v (the "four Russians" tables of
+    Arlazarov et al., 1970).  Row v is row v minus its lowest bit, ANDed
+    with the row of that one mask.  ``tail[x][c]`` is the AND of rows 15 of
+    the chunks from c on: the copies through x that avoid every mask from
+    4c on; ``tail_one[x][c]`` has those with exactly one mask from 4c on."""
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
-        """Enumerate the copies on the cube ``rows`` and build the tables,
+        """Enumerate the copies on the cube ``rows``, one embedding each
+        (``induced_copies``; isomorphic posets in the list share their
+        copies, so each class is enumerated once), and build the tables,
         checking ``deadline`` as it goes; raises TooLarge as soon as the
         memberships (sum of the copy sizes) cross ``SWEEP_CAP``."""
         total = len(rows.up)
         self.full = (1 << total) - 1
         pow2 = [1 << j for j in range(total)]
         through = [[] for _ in range(total)]
-        seen = set()
-        memberships = 0
-        for P in forbidden:
-            for e, w in enumerate(induced_embeddings(P, rows.up, rows.down)):
-                if not e & 1023:
+        self.copies = memberships = 0
+        for P in isomorphism_classes(forbidden):
+            for w in induced_copies(P, rows.up, rows.down):
+                if not self.copies & 1023:
                     _check_deadline(deadline)
-                bits = sum(map(pow2.__getitem__, w.mapping))
-                if bits in seen:
-                    continue
-                seen.add(bits)
+                self.copies += 1
                 memberships += P.size
                 if memberships > SWEEP_CAP:
                     raise TooLarge(f"the forbidden copies among the {total} masks hold over "
                                    f"{SWEEP_CAP} memberships, over the cap")
+                bits = sum(map(pow2.__getitem__, w.mapping))
                 for j in w.mapping:
                     through[j].append(bits)
-        self.copies = len(seen)
         self.through = through
-        self.keep, self.tail = [], []
+        self.keep, self.tail, self.tail_one = [], [], []
         stride = max(total, 8)  # bits per copy in the grid below, whole bytes
         for x, copies in enumerate(through):
             _check_deadline(deadline)
@@ -207,16 +216,21 @@ class _CopyTable:
                     row[v] = row[v ^ low] & avoid[c + low.bit_length() - 1]
                 chunks.append(row)
             self.keep.append(chunks)
-            tail = [ones]
+            tail, tail_one = [ones], [0]
             for row in reversed(chunks):
+                single = (row[7] | row[11] | row[13] | row[14]) & ~row[15]  # one mask of the chunk
+                tail_one.append(tail_one[-1] & row[15] | tail[-1] & single)
                 tail.append(tail[-1] & row[15])
             self.tail.append(tail[::-1])
+            self.tail_one.append(tail_one[::-1])
 
     def copy_through(self, x: int, within: int) -> int:
-        """The lowest copy through mask x inside the masks set in ``within``
-        (which must contain x), as a bitset of masks; 0 when there is none.
-        Every mask above the highest one in ``within`` is outside it, so
-        the chunks from ``top`` on are one ``tail`` lookup."""
+        """The highest copy through mask x inside the masks set in
+        ``within`` (which must contain x), as a bitset of masks; 0 when
+        there is none.  Every mask above the highest one in ``within`` is
+        outside it, so the chunks from ``top`` on are one ``tail`` lookup.
+        (In an ascending search a copy whose masks lie high stays inside
+        the live masks longest, so it makes the best watch.)"""
         top = (within.bit_length() + 3) >> 2
         alive = self.tail[x][top]
         out = self.full ^ within
@@ -225,7 +239,52 @@ class _CopyTable:
             if not alive:
                 return 0
             out >>= 4
-        return self.through[x][(alive & -alive).bit_length() - 1]
+        return self.through[x][alive.bit_length() - 1]
+
+    def blocked_by(self, c: int, members: int, among: int) -> int:
+        """The masks of ``among``, outside ``members``, a free family that
+        contains c, each lying in a copy through c whose other masks are
+        all members, as a bitset: the outside masks of the copies through c
+        with exactly one outside mask, which is in ``among``.  Every mask
+        above the highest one in ``members | among`` is outside it, so the
+        chunks from ``top`` on are one ``tail`` lookup; each chunk below
+        moves a copy from no outside mask to one when it has one outside
+        mask there and that mask is in ``among``, and drops the others."""
+        top = (members.bit_length() + 3) >> 2
+        if among >> 4 * top == self.full >> 4 * top:
+            zero, one = self.tail[c][top], self.tail_one[c][top]
+        else:
+            top = ((members | among).bit_length() + 3) >> 2
+            zero, one = self.tail[c][top], 0
+        out = self.full ^ members
+        for chunk in self.keep[c][:top]:
+            v = out & 15
+            z = chunk[v]
+            fresh = zero & ~z
+            if fresh:
+                single = 0
+                for w in _ALL_BUT_ONE[v & among & 15 | v << 4]:
+                    single |= chunk[w]
+                one = one & z | fresh & single
+                zero ^= fresh
+                if not zero and not one:
+                    return 0
+            else:
+                one &= z
+            out >>= 4
+            among >>= 4
+        blocked = 0
+        through = self.through[c]
+        while one:
+            low = one & -one
+            one ^= low
+            blocked |= through[low.bit_length() - 1]
+        return blocked & ~members
+
+
+# per outside pattern v and pattern a inside it, at index v << 4 | a: the
+# patterns v with one set bit of a cleared
+_ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & a & b) for v in range(16) for a in range(16)]
 
 
 def certified_bounds(n: int, forbidden) -> SatStarResult:
@@ -265,40 +324,49 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
 
     Partial families are extended in ascending mask order and carried as
     one bitset of masks.  Before the first node, every induced forbidden
-    copy in 2^[n] is listed once, on the ``InclusionRows`` of the cube, and
-    indexed by mask in a copy table; every test is one table query: the
-    lowest copy through a mask inside a set of masks, or none (the answer
-    of ``has_pinned_copy`` on the same rows, found by a few ANDs of
-    precomputed bitsets over the copies instead of a backtracking match).
-    Building the table keeps the time limit, and raises TooLarge as soon as
-    the copies hold more than ``SWEEP_CAP`` memberships (N at n = 7 does).
+    copy in 2^[n] is listed once, on the ``InclusionRows`` of the cube (one
+    embedding per copy, from ``induced_copies``), and indexed by mask in a
+    copy table that answers two queries by a few ANDs of precomputed
+    bitsets over the copies: ``copy_through``, a copy through a mask inside
+    a set of masks, or none (the answer of ``has_pinned_copy`` on the same
+    rows), and ``blocked_by``, the masks that one member blocks together
+    with the others.  Building the table keeps the time limit, and
+    raises TooLarge as soon as the copies hold more than ``SWEEP_CAP``
+    memberships (N at n = 7 and the diamond at n = 8 do).
 
-    A node first tests each mask of its candidate range that is not yet
-    known to be blocked (adding it would put it in a forbidden copy) and
-    passes the blocked masks to its children: an induced copy survives
-    added members, so a mask blocked at a node stays blocked below it.
-    The free masks become children, pruned when some transposition of the
-    ground set maps the extended family to a lexicographically smaller
-    one; the test is ``TranspositionLanes.canonical`` on the images the
-    search carries, one OR per push.  That is weaker than full orbit
-    canonicity, and sound: the witness returned, the lexicographically
-    first maximal family, is smallest in its orbit, and so is every prefix
+    Each node carries its blocked masks exactly: the members plus every
+    mask lying in a copy with members only (adding it would complete that
+    copy).  A child adding m gets those of its parent, m and
+    ``blocked_by(m, ...)``, since a copy completed by the child's mask
+    either avoids m or passes through it.  So the children of a node are
+    the unblocked masks of its candidate range, with no test.  They are
+    pruned when some transposition of the ground set, or, when every
+    forbidden poset's dual is isomorphic to one in the list,
+    complementation or complementation after a transposition, maps the
+    extended family to a lexicographically smaller one; the test is
+    ``TranspositionLanes.canonical`` on the images the search carries, one
+    OR per push.  That is weaker than full orbit canonicity, and sound:
+    each such map takes saturated families to saturated families of the
+    same size, so the witness returned, the lexicographically first
+    maximal family, is no larger than its image, and so is every prefix
     of it.
 
-    After its candidate loop a node runs the dead-mask lookahead.  Its live
-    masks are the members plus every mask at or above the cursor not
-    known to be blocked; every later member is one of them.  A mask below
-    the cursor that is neither a member nor blocked is never added below
-    this node, so a maximal leaf must block it with live members: the node
-    is pruned when the table has no copy through the mask within the live
-    masks.  Only subtrees with no maximal leaf go, so the witness and the
-    bounds stay the same.  Each mask watches the targets
-    of the copy last found through it (the two-watched-literal idea of
-    Moskewicz et al., "Chaff", DAC 2001) and is queried again only once a
-    target is no longer live; a watch is never restored on backtrack, as
-    every use checks it against the live masks.  A leaf is the same loop
-    with no future: the live masks are the members, and the leaf is
-    accepted iff every mask outside the family lies in a copy with them.
+    Before its children a node runs the dead-mask lookahead.  Its live
+    masks are the members plus every unblocked mask at or above the cursor;
+    every later member is one of them.  An unblocked mask below the cursor
+    is never added below this node, so a maximal leaf must block it with
+    live members: the node is pruned when the table has no copy through
+    the mask within the live masks.  Only subtrees with no maximal leaf go,
+    so the witness and the bounds stay the same.  Each mask watches the
+    targets of the copy last found through it (the two-watched-literal
+    idea of Moskewicz et al., "Chaff", DAC 2001) and is queried again only
+    once a target is no longer live; a watch is never restored on
+    backtrack, as every use checks it against the live masks.  A node one
+    member short tests its leaves together: the family plus m is maximal
+    iff, for every other unblocked mask x, m lies in a copy through x with
+    members only, so the leaves left are the candidates in
+    ``blocked_by(x, ...)`` of every such x, lowest x first, which stops as
+    soon as none is left.
 
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
@@ -338,30 +406,9 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     nodes = leaves = symmetry_prunes = lookahead_prunes = queries = 0
     build_seconds = 0.0
 
-    def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
-        """The lex-first maximal free family of ``need`` more members above
-        ``start`` extending ``chosen``, as a bitset of masks, or None."""
-        nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries
-        _check_deadline(deadline)
-        nodes += 1
-        free = []
-        live = chosen
-        if need:
-            for m in range(start, total - need + 1):
-                if blocked >> m & 1:
-                    continue
-                queries += 1
-                if table.copy_through(m, chosen | 1 << m):
-                    blocked |= 1 << m
-                else:
-                    free.append(m)
-            live |= full >> start << start & ~blocked
-        else:
-            leaves += 1
-        # every later member is live, and a mask below the cursor that is
-        # neither chosen nor blocked is never added, so a maximal leaf
-        # below blocks it with live members; at a leaf, live is the members
-        dead = full & ~blocked & ~live
+    def dead_end(live: int, dead: int) -> bool:
+        """True iff some mask of ``dead`` lies in no copy with live masks."""
+        nonlocal queries
         while dead:
             low = dead & -dead
             dead ^= low
@@ -372,24 +419,79 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
                 queries += 1
                 copy = table.copy_through(x, within)
                 if not copy:
+                    return True
+                watch[x] = copy
+        return False
+
+    def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
+        """The lex-first maximal free family of ``need`` > 0 more members
+        above ``start`` extending ``chosen``, as a bitset of masks, or None;
+        ``blocked`` is the members plus every mask the members below the
+        highest one, start - 1, block."""
+        nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries
+        _check_deadline(deadline)
+        nodes += 1
+        # every later member is live, and a mask below the cursor that is
+        # neither chosen nor blocked is never added, so a maximal leaf
+        # below blocks it with live members.  The masks the highest member
+        # blocks only shrink the live ones, so the test runs first without
+        # them (a prune then is a prune with them, and costs no blocked_by),
+        # and again only when they remove a live mask
+        live = chosen | full >> start << start & ~blocked
+        if dead_end(live, full & ~blocked & ~live):
+            lookahead_prunes += 1
+            return None
+        if chosen:
+            queries += 1
+            fresh = table.blocked_by(start - 1, chosen, full & ~chosen) & ~blocked
+            blocked |= fresh
+            if fresh & live:
+                live &= ~fresh
+                if dead_end(live, full & ~blocked & ~live):
                     lookahead_prunes += 1
                     return None
-                watch[x] = copy
-        if not need:
-            return chosen
-        for m in free:
+        free = live & ~chosen & (1 << total - need + 1) - 1
+        if need == 1:
+            # leaf chosen + m is maximal iff it blocks every other unblocked
+            # mask x, iff m lies in a copy through x with members only
+            cands = free
+            leaves += cands.bit_count()
+            nodes += cands.bit_count()
+            rest = full & ~blocked
+            while rest and cands:
+                x = rest & -rest
+                rest ^= x
+                queries += 1
+                cands &= table.blocked_by(x.bit_length() - 1, chosen | x, cands & ~x) | x
+            lookahead_prunes += free.bit_count() - cands.bit_count()
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                m = low.bit_length() - 1
+                if lanes is not None and not lanes.canonical(images | lanes.image[m], marks | lanes.ones << m):
+                    symmetry_prunes += 1
+                    continue
+                return chosen | low
+            return None
+        while free:
+            low = free & -free
+            free ^= low
+            m = low.bit_length() - 1
             m_images = m_marks = 0
             if lanes is not None:
                 m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
                 if not lanes.canonical(m_images, m_marks):
                     symmetry_prunes += 1
                     continue
-            found = dfs(m + 1, need - 1, chosen | 1 << m, blocked | 1 << m, m_images, m_marks)
+            found = dfs(m + 1, need - 1, chosen | low, blocked | low, m_images, m_marks)
             if found is not None:
                 return found
         return None
 
-    lanes = TranspositionLanes.build(n) if symmetry else None
+    # complementing every member maps a P-saturated family to a
+    # dual(P)-saturated one: a symmetry when the list is closed under duals
+    closed = all(any(isomorphic(dual(P), Q) for Q in forbidden) for P in forbidden)
+    lanes = TranspositionLanes.build(n, complement=closed) if symmetry else None
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     levels = []
 

@@ -20,7 +20,8 @@ from posat import (
     isomorphic,
 )
 from posat.errors import BadParam, CycleInCovers, IndexOutOfRange, UnknownName
-from posat.poset import iter_legs_witnesses
+from posat.family import InclusionRows
+from posat.poset import induced_copies, induced_embeddings, iter_legs_witnesses
 
 from conftest import vf2_embeddings
 
@@ -262,3 +263,25 @@ def test_isomorphic_distinguishes_catalog():
     for A, B in itertools.combinations(posets, 2):
         assert not isomorphic(A, B)
     assert isomorphic(catalog("Y"), dual(catalog("Yinv")))
+
+
+def automorphism_count(P: Poset) -> int:
+    """The permutations of P's elements that keep every relation, by scan."""
+    return sum(all(P.below(f[a], f[b]) == P.below(a, b) for a in range(P.size) for b in range(P.size))
+               for f in itertools.permutations(range(P.size)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_induced_copies_yield_one_embedding_per_copy(n):
+    cube = InclusionRows(range(1 << n))
+    # two disjoint 2-chains: the one automorphism swaps both chains at
+    # once, so its group is no product of symmetric groups on its orbits
+    two_chains = from_cover_relations(4, [(0, 1), (2, 3)])
+    for P in catalog_small(5) + [P.relabel(tuple(reversed(range(P.size)))) for P in catalog_small(5)] + [two_chains]:
+        every = [w.mapping for w in induced_embeddings(P, cube.up, cube.down)]
+        copies = [w.mapping for w in induced_copies(P, cube.up, cube.down)]
+        images = [frozenset(m) for m in copies]
+        assert len(set(images)) == len(images), (P, n)
+        assert set(images) == {frozenset(m) for m in every}, (P, n)
+        assert set(copies) <= set(every), (P, n)
+        assert len(copies) * automorphism_count(P) == len(every), (P, n)

@@ -93,9 +93,14 @@ def test_exact_witness_attains_the_bound():
     assert res.exact and len(res.witness) == res.lower_bound
 
 
-@pytest.mark.parametrize("name", ["fork", "diamond", "Yinv"])
+SELF_DUAL = {"N": catalog("N"), "chain(3)": catalog("chain", 3), "antichain(3)": catalog("antichain", 3)}
+
+
+@pytest.mark.parametrize("name", ["fork", "diamond", "Yinv", *SELF_DUAL])
 def test_symmetry_reduction_changes_nothing(name):
-    P = catalog(name)
+    # the diamond, N, chain(3) and antichain(3) are self-dual: their search
+    # also prunes by complementation
+    P = SELF_DUAL.get(name) or catalog(name)
     plain = _deepen(4, [P], start_bounds=certified_bounds, symmetry=False)
     pruned = exact_sat_star(4, [P])
     assert plain.lower_bound == pruned.lower_bound
@@ -117,6 +122,11 @@ def permuted(perm, masks):
     return sorted(sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in masks)
 
 
+def complemented(n, masks):
+    """The masks with every member complemented in [n], sorted."""
+    return sorted(m ^ (1 << n) - 1 for m in masks)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_packed_lanes_match_sorting_under_every_permutation(n):
     swaps = []
@@ -124,22 +134,41 @@ def test_packed_lanes_match_sorting_under_every_permutation(n):
         perm = list(range(n))
         perm[i], perm[j] = j, i
         swaps.append(perm)
-    lanes = TranspositionLanes.build(n)
-    assert len(lanes.image) == 1 << n and lanes.ones.bit_count() == len(swaps) == n * (n - 1) // 2
     rng = random.Random(n)
-    for _ in range(300):
-        # masks below a random 2^j, so that some sets are smallest in their orbit
-        span = 1 << rng.randint(1, n)
-        chosen = sorted(rng.sample(range(span), rng.randint(1, min(8, span))))
-        images = marks = 0
-        for m in chosen:
-            images |= lanes.image[m]
-            marks |= lanes.ones << m
-        passes = lanes.canonical(images, marks)
-        assert passes == all(permuted(perm, chosen) >= chosen for perm in swaps)
-        # the soundness the witnesses rely on: a set that is smallest under
-        # all n! permutations passes, so a set that fails is not smallest
-        assert passes or any(permuted(perm, chosen) < chosen for perm in itertools.permutations(range(n)))
+    for complement in (False, True):
+        lanes = TranspositionLanes.build(n, complement)
+        maps = [lambda masks, perm=perm: permuted(perm, masks) for perm in swaps]
+        if complement:
+            # complementation, then complementation after each (i j)
+            maps += [lambda masks, perm=perm: complemented(n, permuted(perm, masks))
+                     for perm in [list(range(n))] + swaps]
+        assert len(lanes.image) == 1 << n and lanes.ones.bit_count() == len(maps)
+        assert len(swaps) == n * (n - 1) // 2
+
+        def sample():
+            # masks below a random 2^j, so that some sets are smallest in
+            # their orbit; with complementation, also above 2^n - 2^j
+            span = 1 << rng.randint(1, n)
+            chosen = sorted(rng.sample(range(span), rng.randint(1, min(8, span))))
+            if complement and rng.random() < 0.5:
+                chosen = sorted(set(chosen) | set(complemented(n, rng.sample(chosen, rng.randint(1, len(chosen))))))
+            return chosen
+
+        # at n = 5 complementation alone maps this set lower, no other lane
+        only_complement = [[0, 3, 5, 11, 21, 26, 28, 31]] if complement and n == 5 else []
+        for chosen in only_complement + [sample() for _ in range(300)]:
+            images = marks = 0
+            for m in chosen:
+                images |= lanes.image[m]
+                marks |= lanes.ones << m
+            passes = lanes.canonical(images, marks)
+            assert passes == all(g(chosen) >= chosen for g in maps), (complement, chosen)
+            assert not (passes and chosen in only_complement)
+            # the soundness the witnesses rely on: a set that is smallest under
+            # all n! permutations (and their complements) passes, so a set that
+            # fails is not smallest
+            images = (permuted(perm, chosen) for perm in itertools.permutations(range(n)))
+            assert passes or any(g < chosen or complement and complemented(n, g) < chosen for g in images)
 
 
 def test_time_limit_returns_sound_bounds():
@@ -161,18 +190,30 @@ def test_time_limit_holds_inside_the_lookahead():
     assert res.stats is not None and res.stats.nodes > 0
 
 
-def test_time_limit_covers_the_symmetry_tables():
-    # diamond has no legs on either side, so its bounds at n = 8 (1..9)
-    # leave a search that cannot finish within the limit
+def test_time_limit_covers_the_copy_table_build():
+    # the diamond has no legs on either side, so its bounds at n = 7 (1..8)
+    # leave a search; the limit is shorter than the copy-table build (about
+    # 0.7 s on a 2-core x86_64 box), and whichever phase it cuts, the bounds
+    # stay sound: 6 is searched out and 8 is greedy's n + 1
     t0 = time.monotonic()
-    res = exact_sat_star(8, [catalog("diamond")], SearchConfig(time_limit=1))
-    assert time.monotonic() - t0 < 3
+    res = exact_sat_star(7, [catalog("diamond")], SearchConfig(time_limit=0.2))
+    assert time.monotonic() - t0 < 1.5
     assert not res.exact
-    assert res.lower_bound <= 9 <= res.upper_bound
+    assert res.lower_bound <= 7 and res.upper_bound == len(res.witness) == 8
+    assert is_induced_saturated(res.witness, [catalog("diamond")]).saturated
     # fork's dual has legs: n + 1 = 9 meets greedy, so no search starts
     res = exact_sat_star(8, [catalog("fork")], SearchConfig(time_limit=1))
     assert res.exact and res.lower_bound == res.upper_bound == 9
     assert res.lower_kind == "legs" and res.upper_kind == "greedy"
+
+
+def test_copy_table_cap_stops_the_diamond_at_n8():
+    # the diamond's copies in 2^[8] cross SWEEP_CAP memberships during the
+    # enumeration, with no time limit set
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(8, [catalog("diamond")])
+    assert time.monotonic() - t0 < 5
 
 
 def test_copy_table_is_capped():
@@ -354,7 +395,7 @@ def test_copy_table_agrees_with_the_pinned_query(n):
     # the search's one query: a copy through x inside ``within`` exists iff
     # has_pinned_copy finds one, and the copy returned is an induced copy
     # of a forbidden poset through x inside ``within``; up to n = 3 it is
-    # the lowest one as a bitset of masks
+    # the highest one as a bitset of masks
     rng = random.Random(n)
     total = 1 << n
     cube = InclusionRows(range(total))
@@ -377,9 +418,47 @@ def test_copy_table_agrees_with_the_pinned_query(n):
                     assert any(P.size == len(members) and brute_has_induced_copy(members, P) for P in forbidden)
                 if n <= 3:
                     inside = [m for m in range(total) if within >> m & 1]
-                    assert copy == min((sum(1 << m for m in members) for P in forbidden
+                    assert copy == max((sum(1 << m for m in members) for P in forbidden
                                         for members in itertools.combinations(inside, P.size)
                                         if x in members and brute_has_induced_copy(members, P)), default=0)
+
+
+def cube_blocked(forbidden, cube, members):
+    """The members plus every mask that lies in a copy with members only, by
+    one pinned query per mask."""
+    return members | sum(1 << x for x in range(len(cube.up))
+                         if not members >> x & 1 and has_pinned_copy(forbidden, cube.up, cube.down, x, members | 1 << x))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_blocked_by_agrees_with_the_pinned_query(n):
+    # m is in blocked_by(c, M, among) iff m is in ``among`` and M + m has a
+    # copy through c; and the DFS invariant, with every outside mask among:
+    # blocked(M) = blocked(M - c) | blocked_by(c, M, ...)
+    rng = random.Random(n)
+    total = 1 << n
+    full = (1 << total) - 1
+    cube = InclusionRows(range(total))
+    lists = [[P] for P in isomorphism_classes(catalog_small(5))]
+    lists.append([catalog("chain", 3), catalog("antichain", 3)])
+    for forbidden in lists:
+        table = _CopyTable(forbidden, cube, None)
+        for _ in range(12):
+            # a random free family: masks in random order, each kept with
+            # probability 1/2 while it completes no copy
+            members = 0
+            for x in rng.sample(range(total), total):
+                if rng.random() < 0.5 and not has_pinned_copy(forbidden, cube.up, cube.down, x, members | 1 << x):
+                    members |= 1 << x
+            for c in (m for m in range(total) if members >> m & 1):
+                want = sum(1 << m for m in range(total) if not members >> m & 1
+                           and has_pinned_copy(forbidden, cube.up, cube.down, c, members | 1 << m))
+                got = table.blocked_by(c, members, full & ~members)
+                assert got == want, (forbidden, c, members)
+                before = cube_blocked(forbidden, cube, members & ~(1 << c))
+                assert cube_blocked(forbidden, cube, members) == before | 1 << c | got
+                among = rng.getrandbits(total) & ~members
+                assert table.blocked_by(c, members, among) == want & among, (forbidden, c, members, among)
 
 
 # -- certified bounds ---------------------------------------------------------

@@ -1,8 +1,9 @@
 """The search frontier: ``exact_sat_star`` on the 17 isomorphism classes of
-``catalog_small(5)`` at n = 5 (20 s limit each) and on the diamond, Y, Yinv
-and N at n = 6 (90 s limit each).  Prints one JSON line per task: the
-bounds and kinds reached, the seconds, and the search counters
-(``SearchStats``; null for a checkout without them or when no search ran).
+``catalog_small(5)`` at n = 5 (20 s limit each), on the diamond, Y, Yinv
+and N at n = 6 (90 s limit each) and on the diamond at n = 7 (180 s
+limit).  Prints one JSON line per task: the bounds and kinds reached, the
+seconds, and the search counters (``SearchStats``; null for a checkout
+without them or when no search ran).
 
     PYTHONPATH=src python3 tools/frontier.py
 """
@@ -21,6 +22,7 @@ def tasks():
         yield 5, P, 20.0
     for name in ("diamond", "Y", "Yinv", "N"):
         yield 6, catalog(name), 90.0
+    yield 7, catalog("diamond"), 180.0
 
 
 def main() -> None:
