@@ -19,7 +19,7 @@ from .errors import (
     NotPerfectSquare,
     TooLarge,
 )
-from .poset import EmbeddingWitness, Poset, has_pinned_copy, induced_embeddings
+from .poset import EmbeddingWitness, Poset, has_pinned_copy, induced_copies
 
 MAX_GROUND = 64
 # Orbit representatives a saturation sweep may test: a family with no twins
@@ -146,16 +146,16 @@ class InclusionRows:
     def blocks(self, m: int, forbidden) -> bool:
         """True iff adding m would put it in an induced forbidden copy."""
         self.push(m)
-        blocked = bool(has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1))
+        blocked = has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1)
         self.pop()
         return blocked
 
 
 def iter_induced_embeddings(members: tuple[int, ...], P: Poset):
-    """Yield every injective map (as an index tuple) from P into the listed
-    member masks that preserves and reflects proper inclusion."""
+    """Yield one injective map per induced copy of P among the listed member
+    masks, preserving and reflecting proper inclusion (``induced_copies``)."""
     rows = InclusionRows(members)
-    yield from induced_embeddings(P, rows.up, rows.down)
+    yield from induced_copies(P, rows.up, rows.down)
 
 
 def contains_induced_copy(F: SetFamily, P: Poset) -> EmbeddingWitness | None:

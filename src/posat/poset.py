@@ -269,28 +269,15 @@ def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()):
     return tuple(order), tuple(steps)
 
 
-def induced_embeddings(P: Poset, up, down):
-    """Yield every induced copy of P, as an EmbeddingWitness, among targets
-    0..k-1 ordered by the rows ``up[j]`` / ``down[j]`` (bit i set iff target
-    i lies strictly above / below target j).  The rows must not change while
-    the generator is in use.
-    """
-    k = len(up)
-    if P.size > k:
-        return
-    every = (1 << k) - 1
-    yield from _match(_plan(P.up, None), up, down, every, every)
-
-
 def induced_copies(P: Poset, up, down):
     """Yield one induced copy of P per image, as an EmbeddingWitness, among
-    the targets ordered by ``up`` / ``down`` (as for ``induced_embeddings``,
-    which yields each image once per automorphism of P)."""
-    k = len(up)
-    if P.size > k:
-        return
-    every = (1 << k) - 1
-    yield from _match(_copy_plan(P.up), up, down, every, every)
+    targets 0..k-1 ordered by the rows ``up[j]`` / ``down[j]`` (bit i set
+    iff target i lies strictly above / below target j).  The first one is
+    the lexicographically first embedding in placement order.  The rows
+    must not change while the generator is in use.
+    """
+    if P.size <= len(up):
+        yield from _match(_copy_plan(P.up), up, down, (1 << len(up)) - 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -299,8 +286,7 @@ def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     copies in itself, as mappings."""
     p = len(up)
     down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
-    every = (1 << p) - 1
-    return tuple(w.mapping for w in _match(_plan(up, None), up, down, every, every))
+    return tuple(w.mapping for w in _match(_plan(up, None), up, down, (1 << p) - 1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -335,43 +321,31 @@ def _pinned_plans(up: tuple[int, ...]) -> tuple:
     return tuple(plans)
 
 
-def has_pinned_copy(forbidden, up, down, pinned: int, within: int | None = None) -> int:
-    """The targets, as bits, of an induced copy of some poset in
-    ``forbidden`` through target ``pinned`` among the targets ordered by
-    ``up`` / ``down`` (as for ``induced_embeddings``), using only targets
-    whose bits are set in ``within`` (default: every target; ``within`` must
-    contain the pin); 0 when there is none.  The bits include the pin, so a
-    copy is never 0.  This is the one blocked test: adding a set to a free
-    family breaks freeness iff the set lies in such a copy.
+def has_pinned_copy(forbidden, up, down, pinned: int) -> bool:
+    """True iff some poset in ``forbidden`` has an induced copy through
+    target ``pinned`` among the targets ordered by ``up`` / ``down`` (as for
+    ``induced_copies``).  This is the one blocked test: adding a set to a
+    free family breaks freeness iff the set lies in such a copy.
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one
     element per orbit only.
     """
-    if within is None:
-        within = (1 << len(up)) - 1
-    targets = within.bit_count()
-    for P in forbidden:
-        if P.size <= targets:
-            for plan in _pinned_plans(P.up):
-                for w in _match(plan, up, down, 1 << pinned, within):
-                    bits = 0
-                    for j in w.mapping:
-                        bits |= 1 << j
-                    return bits
-    return 0
+    return any(next(_match(plan, up, down, 1 << pinned), None) is not None
+               for P in forbidden if P.size <= len(up) for plan in _pinned_plans(P.up))
 
 
-def _match(plan, up, down, first: int, within: int):
-    """Backtracking over the plan's steps, on the targets in ``within``:
-    the candidates of a step are the AND of the rows of the targets already
-    placed, minus the used ones, above the targets its order constraints
-    name, and the first step's are ``first``."""
+def _match(plan, up, down, first: int):
+    """Backtracking over the plan's steps: the candidates of a step are the
+    AND of the rows of the targets already placed, minus the used ones,
+    above the targets its order constraints name, and the first step's are
+    ``first``."""
     order, steps = plan
     p = len(order)
     if p == 0:
         yield EmbeddingWitness(())
         return
+    every = (1 << len(up)) - 1
     image = [0] * p
     cands = [0] * p
     cands[0] = first
@@ -389,7 +363,7 @@ def _match(plan, up, down, first: int, within: int):
         cands[t] = c ^ low
         j = low.bit_length() - 1
         step = steps[t]
-        if (up[j] & within).bit_count() < step[3] or (down[j] & within).bit_count() < step[4]:
+        if up[j].bit_count() < step[3] or down[j].bit_count() < step[4]:
             continue
         image[t] = j
         if t == p - 1:
@@ -401,7 +375,7 @@ def _match(plan, up, down, first: int, within: int):
         used |= low
         t += 1
         below, above, apart, _, _, after = steps[t]
-        c = within & ~used
+        c = every ^ used
         for s in below:
             c &= down[image[s]]
         for s in above:
@@ -416,7 +390,7 @@ def _match(plan, up, down, first: int, within: int):
 def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
     """An injective map from P into Q preserving and reflecting the strict
     order, or None."""
-    return next(induced_embeddings(P, Q.up, Q.down_masks()), None)
+    return next(induced_copies(P, Q.up, Q.down_masks()), None)
 
 
 def isomorphic(P: Poset, Q: Poset) -> bool:

@@ -328,11 +328,11 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     embedding per copy, from ``induced_copies``), and indexed by mask in a
     copy table that answers two queries by a few ANDs of precomputed
     bitsets over the copies: ``copy_through``, a copy through a mask inside
-    a set of masks, or none (the answer of ``has_pinned_copy`` on the same
-    rows), and ``blocked_by``, the masks that one member blocks together
-    with the others.  Building the table keeps the time limit, and
-    raises TooLarge as soon as the copies hold more than ``SWEEP_CAP``
-    memberships (N at n = 7 and the diamond at n = 8 do).
+    a set of masks, or none (the answer of ``has_pinned_copy`` on the rows
+    of the masks in the set), and ``blocked_by``, the masks that one member
+    blocks together with the others.  Building the table keeps the time
+    limit, and raises TooLarge as soon as the copies hold more than
+    ``SWEEP_CAP`` memberships (N at n = 7 and the diamond at n = 8 do).
 
     Each node carries its blocked masks exactly: the members plus every
     mask lying in a copy with members only (adding it would complete that
@@ -454,35 +454,26 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
         if need == 1:
             # leaf chosen + m is maximal iff it blocks every other unblocked
             # mask x, iff m lies in a copy through x with members only
-            cands = free
-            leaves += cands.bit_count()
-            nodes += cands.bit_count()
+            tested = free.bit_count()
+            leaves += tested
+            nodes += tested
             rest = full & ~blocked
-            while rest and cands:
+            while rest and free:
                 x = rest & -rest
                 rest ^= x
                 queries += 1
-                cands &= table.blocked_by(x.bit_length() - 1, chosen | x, cands & ~x) | x
-            lookahead_prunes += free.bit_count() - cands.bit_count()
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                m = low.bit_length() - 1
-                if lanes is not None and not lanes.canonical(images | lanes.image[m], marks | lanes.ones << m):
-                    symmetry_prunes += 1
-                    continue
-                return chosen | low
-            return None
+                free &= table.blocked_by(x.bit_length() - 1, chosen | x, free & ~x) | x
+            lookahead_prunes += tested - free.bit_count()
         while free:
             low = free & -free
             free ^= low
             m = low.bit_length() - 1
-            m_images = m_marks = 0
-            if lanes is not None:
-                m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
-                if not lanes.canonical(m_images, m_marks):
-                    symmetry_prunes += 1
-                    continue
+            m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
+            if not lanes.canonical(m_images, m_marks):
+                symmetry_prunes += 1
+                continue
+            if need == 1:
+                return chosen | low
             found = dfs(m + 1, need - 1, chosen | low, blocked | low, m_images, m_marks)
             if found is not None:
                 return found
@@ -491,7 +482,8 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     # complementing every member maps a P-saturated family to a
     # dual(P)-saturated one: a symmetry when the list is closed under duals
     closed = all(any(isomorphic(dual(P), Q) for Q in forbidden) for P in forbidden)
-    lanes = TranspositionLanes.build(n, complement=closed) if symmetry else None
+    # with no symmetry, lanes with no lane: every set is canonical
+    lanes = TranspositionLanes.build(n, complement=closed) if symmetry else TranspositionLanes((0,) * total, 0, 0)
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     levels = []
 

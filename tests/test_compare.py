@@ -1,0 +1,49 @@
+"""tools/compare.py: the frontier summary and the line count."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare.py")
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+
+def bench15_passes() -> list[list[dict]]:
+    """The change side's frontier passes of BENCH_15.json, rebuilt from each
+    task's record and its per-pass seconds and bounds."""
+    records = json.loads((ROOT / "BENCH_15.json").read_text())["frontier"]["change"]
+    return [[dict(r, lower=r["bounds_runs"][i][0], upper=r["bounds_runs"][i][1],
+                  exact=r["bounds_runs"][i][0] == r["bounds_runs"][i][1], seconds=r["seconds_runs"][i])
+             for r in records] for i in range(3)]
+
+
+def test_frontier_medians_report_the_tightest_bounds_over_the_passes():
+    table = compare.frontier_medians(bench15_passes())
+    diamond7 = next(r for r in table if r["poset"] == "diamond" and r["n"] == 7)
+    # the median pass stops at 7..8, but one pass proved 8
+    assert (diamond7["lower"], diamond7["upper"], diamond7["exact"]) == (7, 8, False)
+    assert diamond7["bounds_runs"] == [(7, 8), (8, 8), (7, 8)]
+    assert diamond7["tightest"] == [8, 8] and diamond7["tightest_exact"]
+    N6 = next(r for r in table if r["poset"] == "N" and r["n"] == 6)
+    assert N6["tightest"] == [10, 12] and not N6["tightest_exact"]
+    for r in table:
+        assert r["tightest"] == [max(lo for lo, _ in r["bounds_runs"]), min(up for _, up in r["bounds_runs"])]
+        assert r["seconds"] == sorted(r["seconds_runs"])[1]
+
+
+def test_frontier_medians_reject_contradicting_passes():
+    task = {"poset": "diamond", "n": 5, "seconds": 1.0}
+    passes = [[dict(task, lower=7, upper=7)], [dict(task, lower=5, upper=6)]]
+    with pytest.raises(SystemExit, match="contradict"):
+        compare.frontier_medians(passes)
+
+
+def test_src_lines_counts_the_package_sources():
+    want = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "posat").glob("*.py"))
+    assert compare.src_lines(ROOT) == want > 0

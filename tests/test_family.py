@@ -23,6 +23,7 @@ from posat import (
     from_cover_relations,
     inclusion_poset,
     is_induced_saturated,
+    is_induced_subposet,
     unique_pair_family,
     wedge_upper_family,
     x_upper_family,
@@ -50,7 +51,7 @@ from posat.family import (
     singleton_difference_pairs,
     twin_classes,
 )
-from posat.poset import has_pinned_copy
+from posat.poset import _plan, has_pinned_copy
 
 from conftest import brute_has_induced_copy, brute_singleton_difference_pairs, vf2_embeddings
 
@@ -158,24 +159,44 @@ def test_contains_copy_matches_bruteforce(F, name):
 @settings(max_examples=150, deadline=None)
 @given(families(max_n=4, max_members=8), posets())
 def test_embeddings_match_vf2(nx, F, P):
-    # every copy exactly once, and the same copies VF2 finds
+    # one embedding per copy, of the same copies as VF2's embeddings, and
+    # |Aut(P)| of those per copy
     got = [w.mapping for w in iter_induced_embeddings(F.members, P)]
-    assert len(got) == len(set(got))
-    assert set(got) == vf2_embeddings(nx, len(F), proper_subset_pairs(F.members), P)
+    every = vf2_embeddings(nx, len(F), proper_subset_pairs(F.members), P)
+    images = [frozenset(m) for m in got]
+    assert len(set(images)) == len(images)
+    assert set(images) == {frozenset(m) for m in every}
+    assert set(got) <= every
+    automorphisms = vf2_embeddings(nx, P.size, [(a, b) for a in range(P.size) for b in range(P.size) if P.below(a, b)], P)
+    assert len(got) * len(automorphisms) == len(every)
     assert (contains_induced_copy(F, P) is not None) == bool(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=4, max_members=8), posets(), posets(6))
+def test_first_copy_is_the_least_vf2_embedding_in_placement_order(nx, F, P, Q):
+    # contains_induced_copy and is_induced_subposet return the embedding
+    # whose targets, read in P's placement order, are least
+    order = _plan(P.up, None)[0]
+
+    def least(every):
+        return min(every, key=lambda m: [m[a] for a in order], default=None)
+
+    got = contains_induced_copy(F, P)
+    assert (got and got.mapping) == least(vf2_embeddings(nx, len(F), proper_subset_pairs(F.members), P))
+    Q_pairs = [(a, b) for a in range(Q.size) for b in range(Q.size) if Q.below(a, b)]
+    got = is_induced_subposet(P, Q)
+    assert (got and got.mapping) == least(vf2_embeddings(nx, Q.size, Q_pairs, P))
 
 
 @settings(max_examples=100, deadline=None)
 @given(families(max_n=4, max_members=8), posets(4))
 def test_pinned_embeddings_are_the_unpinned_ones_using_the_pin(F, P):
-    # the pinned query finds a copy iff some unpinned copy uses the pin,
-    # and returns the targets of one such copy as bits
-    unpinned = {sum(1 << i for i in w.mapping) for w in iter_induced_embeddings(F.members, P)}
+    # the pinned query finds a copy iff some unpinned copy uses the pin
+    unpinned = [w.mapping for w in iter_induced_embeddings(F.members, P)]
     rows = InclusionRows(F.members)
     for j in range(len(F)):
-        through = {bits for bits in unpinned if bits >> j & 1}
-        copy = has_pinned_copy([P], rows.up, rows.down, j)
-        assert copy in through if through else copy == 0
+        assert has_pinned_copy([P], rows.up, rows.down, j) == any(j in m for m in unpinned)
 
 
 @given(st.lists(st.integers(0, 31), unique=True, max_size=10), st.data())
@@ -209,32 +230,17 @@ def test_cube_rows_equal_the_rows_of_every_mask(n):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, (1 << (1 << n)) - 1))),
-       st.sampled_from(catalog_small(5)))
-def test_pinned_query_within_the_cube_rows_matches_rows_of_the_targets(n_within, P):
-    # a query on the rows of all of 2^[n], restricted to ``within``, is the
-    # query on the rows of the masks in ``within`` alone
-    n, within = n_within
-    cube = InclusionRows(range(1 << n))
-    masks = [m for m in range(1 << n) if within >> m & 1]
-    rows = InclusionRows(masks)
-    for j, s in enumerate(masks):
-        copy = has_pinned_copy([P], cube.up, cube.down, s, within)
-        assert bool(copy) == bool(has_pinned_copy([P], rows.up, rows.down, j))
-        assert copy & ~within == 0 and (not copy or copy >> s & 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, (1 << (1 << n)) - 1))),
        st.lists(st.sampled_from(catalog_small(5)), min_size=1, max_size=3))
 def test_pinned_query_on_several_posets_is_any_single_query(n_within, forbidden):
-    # one query over the forbidden list, with and without ``within``, is
-    # the OR of the queries for each poset alone
+    # one query over the forbidden list, on the rows of the cube and on the
+    # rows of the masks drawn, is the OR of the queries for each poset alone
     n, within = n_within
     cube = InclusionRows(range(1 << n))
-    for s in range(1 << n):
-        for limit in (None, within | 1 << s):
-            single = any(has_pinned_copy([P], cube.up, cube.down, s, limit) for P in forbidden)
-            assert bool(has_pinned_copy(forbidden, cube.up, cube.down, s, limit)) == single
+    drawn = InclusionRows(m for m in range(1 << n) if within >> m & 1)
+    for rows in (cube, drawn):
+        for j in range(len(rows.members)):
+            single = any(has_pinned_copy([P], rows.up, rows.down, j) for P in forbidden)
+            assert has_pinned_copy(forbidden, rows.up, rows.down, j) == single
 
 
 @settings(max_examples=100, deadline=None)

@@ -393,9 +393,10 @@ def test_copy_table_counts_the_copies_of_the_diamond_at_n4():
 @pytest.mark.parametrize("n", range(5))
 def test_copy_table_agrees_with_the_pinned_query(n):
     # the search's one query: a copy through x inside ``within`` exists iff
-    # has_pinned_copy finds one, and the copy returned is an induced copy
-    # of a forbidden poset through x inside ``within``; up to n = 3 it is
-    # the highest one as a bitset of masks
+    # has_pinned_copy finds one through x on the rows of the masks in
+    # ``within``, and the copy returned is an induced copy of a forbidden
+    # poset through x inside ``within``; up to n = 3 it is the highest one
+    # as a bitset of masks
     rng = random.Random(n)
     total = 1 << n
     cube = InclusionRows(range(total))
@@ -410,24 +411,25 @@ def test_copy_table_agrees_with_the_pinned_query(n):
                 draws += [rng.getrandbits(total), rng.getrandbits(total) & rng.getrandbits(total)]
             for within in draws:
                 within |= 1 << x
+                inside = [m for m in range(total) if within >> m & 1]
+                rows = InclusionRows(inside)
                 copy = table.copy_through(x, within)
-                assert bool(copy) == bool(has_pinned_copy(forbidden, cube.up, cube.down, x, within)), (forbidden, x)
+                assert bool(copy) == has_pinned_copy(forbidden, rows.up, rows.down, inside.index(x)), (forbidden, x)
                 if copy:
                     assert copy & ~within == 0 and copy >> x & 1
                     members = tuple(m for m in range(total) if copy >> m & 1)
                     assert any(P.size == len(members) and brute_has_induced_copy(members, P) for P in forbidden)
                 if n <= 3:
-                    inside = [m for m in range(total) if within >> m & 1]
                     assert copy == max((sum(1 << m for m in members) for P in forbidden
                                         for members in itertools.combinations(inside, P.size)
                                         if x in members and brute_has_induced_copy(members, P)), default=0)
 
 
-def cube_blocked(forbidden, cube, members):
+def cube_blocked(forbidden, total, members):
     """The members plus every mask that lies in a copy with members only, by
-    one pinned query per mask."""
-    return members | sum(1 << x for x in range(len(cube.up))
-                         if not members >> x & 1 and has_pinned_copy(forbidden, cube.up, cube.down, x, members | 1 << x))
+    one blocked test per mask on the rows of the members."""
+    rows = InclusionRows(m for m in range(total) if members >> m & 1)
+    return members | sum(1 << x for x in range(total) if not members >> x & 1 and rows.blocks(x, forbidden))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -446,17 +448,22 @@ def test_blocked_by_agrees_with_the_pinned_query(n):
         for _ in range(12):
             # a random free family: masks in random order, each kept with
             # probability 1/2 while it completes no copy
-            members = 0
+            rows = InclusionRows()
             for x in rng.sample(range(total), total):
-                if rng.random() < 0.5 and not has_pinned_copy(forbidden, cube.up, cube.down, x, members | 1 << x):
-                    members |= 1 << x
+                if rng.random() < 0.5 and not rows.blocks(x, forbidden):
+                    rows.push(x)
+            members = sum(1 << m for m in rows.members)
             for c in (m for m in range(total) if members >> m & 1):
-                want = sum(1 << m for m in range(total) if not members >> m & 1
-                           and has_pinned_copy(forbidden, cube.up, cube.down, c, members | 1 << m))
+                want = 0
+                for m in range(total):
+                    if not members >> m & 1:
+                        rows.push(m)
+                        want |= has_pinned_copy(forbidden, rows.up, rows.down, rows.members.index(c)) << m
+                        rows.pop()
                 got = table.blocked_by(c, members, full & ~members)
                 assert got == want, (forbidden, c, members)
-                before = cube_blocked(forbidden, cube, members & ~(1 << c))
-                assert cube_blocked(forbidden, cube, members) == before | 1 << c | got
+                before = cube_blocked(forbidden, total, members & ~(1 << c))
+                assert cube_blocked(forbidden, total, members) == before | 1 << c | got
                 among = rng.getrandbits(total) & ~members
                 assert table.blocked_by(c, members, among) == want & among, (forbidden, c, members, among)
 

@@ -6,9 +6,10 @@ in each checkout in turn (parent first), ``--runs`` times, and the medians
 of the end-to-end metrics are kept with every run.  Then ``tools/frontier.py``
 of this checkout runs ``--runs`` times on each checkout's ``src``, in turn
 again: each task keeps the record of its median-seconds pass with every
-pass's seconds and bounds, and the script fails when the bounds of a
-task's passes on one side contradict each other.  One process runs at a
-time.
+pass's seconds and bounds and the tightest bounds over the passes, and the
+script fails when the bounds of a task's passes on one side contradict
+each other.  The report also gives each side's line count of
+``src/posat/*.py``.  One process runs at a time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
 """
@@ -54,20 +55,30 @@ def frontier(checkout: Path) -> list[dict]:
 def frontier_medians(passes: list[list[dict]]) -> list[dict]:
     """One record per task from several frontier passes of one checkout:
     the record of the pass with the median seconds, with ``seconds`` the
-    median and ``seconds_runs`` and ``bounds_runs`` every pass's seconds
-    and bounds.  A pass cut by its time limit stops at bounds that depend
-    on the machine's speed, so passes may differ, but every pass's bounds
-    must contain the true value: the script fails when they share none."""
+    median, ``seconds_runs`` and ``bounds_runs`` every pass's seconds and
+    bounds, ``tightest`` the largest lower and the smallest upper bound
+    over the passes, and ``tightest_exact`` true when those meet, as they
+    do when some pass proved the value.  A pass cut by its time limit stops
+    at bounds that depend on the machine's speed, so passes may differ, but
+    every pass's bounds must contain the true value: the script fails when
+    they share none."""
     table = []
     for records in zip(*passes):
         bounds = [(r["lower"], r["upper"]) for r in records]
-        if max(lo for lo, _ in bounds) > min(up for _, up in bounds):
+        lower, upper = max(lo for lo, _ in bounds), min(up for _, up in bounds)
+        if lower > upper:
             raise SystemExit(f"frontier {records[0]['poset']} at n = {records[0]['n']}: "
                              f"the bounds of the runs contradict each other: {bounds}")
         seconds = [r["seconds"] for r in records]
         median = records[seconds.index(statistics.median_low(seconds))]
-        table.append(dict(median, seconds=statistics.median(seconds), seconds_runs=seconds, bounds_runs=bounds))
+        table.append(dict(median, seconds=statistics.median(seconds), seconds_runs=seconds, bounds_runs=bounds,
+                          tightest=[lower, upper], tightest_exact=lower == upper))
     return table
+
+
+def src_lines(checkout: Path) -> int:
+    """The line count of ``src/posat/*.py``, as ``wc -l`` counts it."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "posat").glob("*.py"))
 
 
 def main(argv=None) -> None:
@@ -86,6 +97,7 @@ def main(argv=None) -> None:
                 f"seconds), then the medians of {args.runs} alternating passes of tools/frontier.py",
         "hardware": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                     f"Python {platform.python_version()}, one process at a time",
+        "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         "perfbench": {},
     }
     for seed in args.seeds:
