@@ -7,6 +7,7 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", action="append", required=True)
     p.add_argument("--bounds", action="store_true", help="certified bounds only, no search")
     p.add_argument("--time-limit", type=float, default=_default_time_limit())
+    p.add_argument("--stats", action="store_true", help="print the search counters after the result")
     p.add_argument("--out")
 
     p = sub.add_parser("construct", help="write a named family construction")
@@ -156,7 +158,26 @@ def _cmd_satstar(args) -> int:
     else:
         result = search.exact_sat_star(args.n, posets, search.SearchConfig(time_limit=args.time_limit))
     _emit(pio.format_result(result), args.out)
+    if args.stats:
+        sys.stdout.write(_format_stats(result.stats))
     return 0 if result.exact or args.bounds else 4
+
+
+def _format_stats(stats) -> str:
+    """One ``key=value`` line per ``SearchStats`` field, in field order, or
+    ``stats=none`` when no search ran; seconds to the microsecond, and the
+    per-size seconds as ``k:seconds`` items joined by commas."""
+    if stats is None:
+        return "stats=none\n"
+    lines = []
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if isinstance(value, float):
+            value = f"{value:.6f}"
+        elif isinstance(value, tuple):
+            value = ",".join(f"{k}:{s:.6f}" for k, s in value)
+        lines.append(f"{field.name}={value}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_construct(args) -> int:

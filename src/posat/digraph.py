@@ -7,11 +7,13 @@ chord edge v1 -> vk.  Double edges (u <-> v) are not transitive cycles.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
 from .family import SetFamily, singleton_difference_table
+from .search import TranspositionLanes
 
 
 @dataclass(frozen=True)
@@ -192,60 +194,114 @@ def turan_bipartite(n: int) -> Digraph:
     return Digraph.of(n, edges)
 
 
-# Largest vertex count of the exhaustive search: on a 2-core VM n = 6 took
-# about 0.28 s and n = 7 about 20 s.
-BRUTEFORCE_CAP = 5
+# Largest vertex count of the exhaustive search: on a 2-core VM n = 7 took
+# about 0.15 s, n = 8 about 0.3 s and n = 9 about 1.5 s (each with the
+# smaller sizes it runs first).
+BRUTEFORCE_CAP = 9
 
 
 def max_tc_free_edges_bruteforce(n: int) -> tuple[int, Digraph]:
     """Exact maximum edge count of a transitive-cycle-free digraph on n
     vertices, plus the lexicographically smallest maximizer.
 
-    Exhaustive branch-and-bound over edge subsets, for n <= ``BRUTEFORCE_CAP``.
+    Exhaustive branch-and-bound over edge subsets, for n <= ``BRUTEFORCE_CAP``,
+    run for k = 2, ..., n vertices in turn, each run taking the maximum on
+    k - 1 vertices from the run before (nothing is kept between calls).
     Since freeness is closed under taking subgraphs, the search only ever
     extends transitive-cycle-free sets, with a best-so-far bound and, for
     n >= 2, the first edge fixed to (0, 1) by vertex relabelling (the
     lexicographically smallest maximizer must contain it).  An edge joins
     the set iff ``_transitive_chord`` finds no chord among the extended set.
+
+    Two more prunes keep the witness.  Symmetry: a child is dropped when
+    some vertex transposition maps its edge set to a lexicographically
+    smaller one (``TranspositionLanes.canonical`` on the lanes of the edges,
+    as in ``exact_sat_star``); such a map keeps freeness and the edge count,
+    so the smallest maximizer is no larger than its images, and so is every
+    prefix of it.  Degree floor: deleting a vertex leaves a free digraph, so
+    in a free digraph with e edges every vertex has in- plus out-degree at
+    least e - ex(k - 1); an edge is tried only when, with it, every vertex's
+    degree plus its edges after it can still reach that floor for the
+    smallest count the search still records.
     """
     if n > BRUTEFORCE_CAP:
         raise TooLarge(f"exhaustive search capped at {BRUTEFORCE_CAP} vertices")
     if n < 1:
         raise BadParam("need n >= 1")
-    if n == 1:
-        return 0, Digraph.of(1, [])
+    best, edges = 0, []
+    for k in range(2, n + 1):
+        best, edges = _max_tc_free(k, best)
+    return best, Digraph.of(n, edges)
 
+
+def _max_tc_free(n: int, below: int) -> tuple[int, list[tuple[int, int]]]:
+    """The search on n >= 2 vertices, given ``below``, the maximum on n - 1."""
     all_edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-    all_edges.sort()
     ecount = len(all_edges)
+    index = {e: j for j, e in enumerate(all_edges)}
+    maps = []
+    for i, j in itertools.combinations(range(n), 2):
+        swap = list(range(n))
+        swap[i], swap[j] = j, i
+        maps.append([index[swap[u], swap[v]] for u, v in all_edges])
+    lanes = TranspositionLanes.of_maps(maps, ecount)
+    # reach[w][r - 1]: the position of the r-th last edge at vertex w, the
+    # last cursor from which w can still gain r edges (-1 past its edges)
+    reach = [[j for j in range(ecount - 1, -1, -1) if w in all_edges[j]] + [-1] * ecount for w in range(n)]
+    # the first edge is forced to (0, 1); the empty digraph never beats the seed
+    chosen = [(0, 1)]
+    adj = [1 << 1] + [0] * (n - 1)
+    degree = [1, 1] + [0] * (n - 2)
     # seed: the bipartite construction's count, witness filled in by search
     best = n * n // 4
     best_edges: list[tuple[int, int]] | None = None
 
-    def dfs(idx, chosen, adj):
+    def stop() -> int:
+        """One past the last edge worth trying next: past it, too few edges
+        are left for a count the search still records, or some vertex could
+        not reach the degree floor of that count with every edge left."""
+        target = best if best_edges is None else best + 1
+        floor = target - below
+        last = ecount - (target - len(chosen))
+        for w in range(n):
+            short = floor - degree[w]
+            if short > 0:
+                last = min(last, reach[w][short - 1])
+        return last + 1
+
+    def dfs(idx, images, marks):
         nonlocal best, best_edges
         count = len(chosen)
         if count > best or (count == best and best_edges is None):
             best = count
             best_edges = list(chosen)
-        target = best if best_edges is None else best + 1
+        end = stop()
         for j in range(idx, ecount):
-            if count + (ecount - j) < target:
+            if j >= end:
                 break
+            j_images, j_marks = images | lanes.image[j], marks | lanes.ones << j
+            if not lanes.canonical(j_images, j_marks):
+                continue
             u, v = all_edges[j]
-            new_adj = adj.copy()
-            new_adj[u] |= 1 << v
+            row = adj[u]
+            adj[u] = row | 1 << v
+            chosen.append((u, v))
             # the new edge first: it is the most likely chord
-            if _transitive_chord(new_adj, [(u, v)] + chosen) is None:
-                dfs(j + 1, chosen + [(u, v)], new_adj)
+            if _transitive_chord(adj, chosen[::-1]) is None:
+                degree[u] += 1
+                degree[v] += 1
+                recorded = best_edges
+                dfs(j + 1, j_images, j_marks)
+                degree[u] -= 1
+                degree[v] -= 1
+                if best_edges is not recorded:
+                    end = stop()
+            chosen.pop()
+            adj[u] = row
 
-    # force the first edge (0, 1); the empty digraph never beats the seed
-    adj0 = [0] * n
-    adj0[0] = 1 << 1
-    dfs(1, [(0, 1)], adj0)
-
+    dfs(1, lanes.image[0], lanes.ones)
     assert best_edges is not None
-    return best, Digraph.of(n, best_edges)
+    return best, best_edges
 
 
 def is_tc_free(D: Digraph) -> bool:

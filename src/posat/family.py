@@ -378,14 +378,32 @@ def unique_pair_family(n: int) -> SetFamily:
 
 def singleton_difference_table(F: SetFamily) -> list[list[tuple[int, int]]]:
     """At index i - 1, for every i in [n], all ordered member-index pairs
-    (a, b) with A \\ B = {i}, in lexicographic index order: one pass over
-    the ordered member pairs, keeping those whose A & ~B has one bit set."""
-    table = [[] for _ in range(F.n)]
+    (a, b) with A \\ B = {i}, in lexicographic index order.
+
+    The members lie side by side in one int, B in lane b of n + 1 bits
+    whose top bit is a guard, so each A takes a few big-int steps for every
+    B at once: x = A & ~B in every lane; y = (x | guard) - 1 per lane keeps
+    the guard iff x is not 0; x & y clears the lowest bit of x, and is 0 iff
+    x has at most one bit.  The lanes with one bit left, read in ascending
+    order, give the pairs (a, b) and the ground element of each."""
+    n = F.n
+    width = n + 1
+    table = [[] for _ in range(n)]
+    lows = packed = 0
+    for b, B in enumerate(F.members):
+        lows |= 1 << width * b
+        packed |= B << width * b
+    guards = lows << n
     for a, A in enumerate(F.members):
-        for b, B in enumerate(F.members):
-            diff = A & ~B
-            if diff and not diff & (diff - 1):
-                table[diff.bit_length() - 1].append((a, b))
+        x = A * lows & ~packed
+        y = (x | guards) - lows
+        one = y & guards & ~((x & y & ~guards | guards) - lows)
+        x &= one - (one >> n)
+        while x:
+            low = x & -x
+            x ^= low
+            b, i = divmod(low.bit_length() - 1, width)
+            table[i].append((a, b))
     return table
 
 

@@ -110,49 +110,58 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
 
 @dataclass(frozen=True)
 class TranspositionLanes:
-    """The image of every mask under every transposition (i j), i < j, of
-    the ground set, in lexicographic order, then, with complement lanes,
-    under complementation and under complementation after each (i j), in
-    the same order, packed into one int per mask: lane t of ``image[m]``
-    has bit g_t(m) + 1 set, and bit 0 of every lane is spare."""
+    """The image of every point under every map of a list (one lane per
+    map), packed into one int per point: lane t of ``image[p]`` has bit
+    g_t(p) + 1 set, and bit 0 of every lane is spare.  ``build`` gives the
+    lanes of the masks of 2^[n] under the transpositions of the ground set;
+    the maps of other point sets (the edges of a digraph under the vertex
+    transpositions) go through ``of_maps``."""
 
     image: tuple[int, ...]
-    ones: int  # the bit of mask 0 in every lane
+    ones: int  # the bit of point 0 in every lane
     spare: int  # bit 0 of every lane
 
     def canonical(self, images: int, marks: int) -> bool:
-        """True iff no lane's map takes the mask set S to a
+        """True iff no lane's map takes the point set S to a
         lexicographically smaller set, given ``images``, the OR of
-        ``image[m]`` over m in S, and ``marks``, S copied into every lane
-        (``ones << m`` for each m).
+        ``image[p]`` over p in S, and ``marks``, S copied into every lane
+        (``ones << p`` for each p).
 
-        For equal-size sets, sorted(g(S)) < sorted(S) iff the lowest mask of
-        S xor g(S) lies in g(S), so S passes iff in every lane of
+        For equal-size sets, sorted(g(S)) < sorted(S) iff the lowest point
+        of S xor g(S) lies in g(S), so S passes iff in every lane of
         x = images ^ marks the lowest set bit, if any, is marked.  The spare
-        bit 0 of each lane of x is clear (a transposition fixes mask 0, but
-        complementation does not): subtracting ``spare``, plus the borrow
-        out of a clear lane below, clears the lowest set bit of each nonzero
-        lane and borrows no further.
+        bit 0 of each lane of x is clear (a map need not fix point 0):
+        subtracting ``spare``, plus the borrow out of a clear lane below,
+        clears the lowest set bit of each nonzero lane and borrows no
+        further.
         """
         x = images ^ marks
         return not x & ~(x - self.spare) & ~marks
 
     @classmethod
+    def of_maps(cls, maps, points: int) -> "TranspositionLanes":
+        """The lanes of the maps of points 0..points-1 in ``maps`` (map t
+        takes p to ``maps[t][p]``), in that order, of points + 1 bits (whole
+        bytes) each."""
+        one_hot = [(2 << p).to_bytes((points + 8) // 8, "little") for p in range(points)]
+        image = tuple(int.from_bytes(b"".join([one_hot[g[p]] for g in maps]), "little") for p in range(points))
+        ones = int.from_bytes(one_hot[0] * len(maps), "little")
+        return cls(image, ones, ones >> 1)
+
+    @classmethod
     def build(cls, n: int, complement: bool = False) -> "TranspositionLanes":
-        """The lanes of every mask over [n]: C(n, 2) lanes, and C(n, 2) + 1
-        more with ``complement``, of 2^n + 1 bits (whole bytes) each."""
+        """The lanes of every mask over [n] under every transposition (i j),
+        i < j, in lexicographic order, then, with ``complement``, under
+        complementation and under complementation after each (i j), in the
+        same order: C(n, 2) lanes, and C(n, 2) + 1 more with ``complement``."""
         # (i j) moves m iff m has exactly one of the two bits
         swaps = [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
-        top = (1 << n) - 1
-        one_hot = [(2 << v).to_bytes(((1 << n) + 8) // 8, "little") for v in range(1 << n)]
-        image = []
-        for m in range(1 << n):
-            moved = [m ^ s if 0 < m & s < s else m for s in swaps]
-            if complement:
-                moved += [g ^ top for g in [m] + moved]
-            image.append(int.from_bytes(b"".join(map(one_hot.__getitem__, moved)), "little"))
-        ones = int.from_bytes(one_hot[0] * (len(swaps) + (len(swaps) + 1 if complement else 0)), "little")
-        return cls(tuple(image), ones, ones >> 1)
+        masks = range(1 << n)
+        maps = [[m ^ s if 0 < m & s < s else m for m in masks] for s in swaps]
+        if complement:
+            top = (1 << n) - 1
+            maps += [[g ^ top for g in lane] for lane in [masks] + maps]
+        return cls.of_maps(maps, 1 << n)
 
 
 def _check_deadline(deadline: float | None) -> None:

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  The one exception is networkx VF2,
-an independent matcher used only in tests.  The library is checked against
-these, never the other way around.
+code shared with the library internals.  Two exceptions: networkx VF2, an
+independent matcher used only in tests, and ``plain_max_tc_free``, a plain
+branch-and-bound that reaches further than full enumeration and keeps the
+library's transitive-chord test (itself checked against
+``brute_first_transitive_cycle``).  The library is checked against these,
+never the other way around.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import pytest
 
 from posat import Digraph, Poset
+from posat.digraph import _transitive_chord
 
 
 def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | None = None) -> bool:
@@ -125,3 +129,40 @@ def brute_max_tc_free(n: int) -> tuple[int, list[tuple[int, int]]]:
         if brute_first_transitive_cycle(Digraph.of(n, chosen)) is None:
             best, first = len(chosen), chosen
     return best, first
+
+
+def plain_max_tc_free(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Maximum edges of a transitive-cycle-free digraph on n >= 2 vertices,
+    and the lexicographically smallest maximizer as a sorted edge list, by a
+    branch-and-bound over edge subsets in lexicographic order with a
+    best-so-far bound and the first edge fixed to (0, 1), and no other
+    pruning."""
+    all_edges = [(u, v) for u in range(n) for v in range(n) if u != v]
+    all_edges.sort()
+    ecount = len(all_edges)
+    # seed: the bipartite construction's count, witness filled in by search
+    best = n * n // 4
+    best_edges: list[tuple[int, int]] | None = None
+
+    def dfs(idx, chosen, adj):
+        nonlocal best, best_edges
+        count = len(chosen)
+        if count > best or (count == best and best_edges is None):
+            best = count
+            best_edges = list(chosen)
+        target = best if best_edges is None else best + 1
+        for j in range(idx, ecount):
+            if count + (ecount - j) < target:
+                break
+            u, v = all_edges[j]
+            new_adj = adj.copy()
+            new_adj[u] |= 1 << v
+            # the new edge first: it is the most likely chord
+            if _transitive_chord(new_adj, [(u, v)] + chosen) is None:
+                dfs(j + 1, chosen + [(u, v)], new_adj)
+
+    # force the first edge (0, 1); the empty digraph never beats the seed
+    adj0 = [0] * n
+    adj0[0] = 1 << 1
+    dfs(1, [(0, 1)], adj0)
+    return best, sorted(best_edges)

@@ -65,7 +65,7 @@ def test_05_pair_hypothesis_random_suite():
 
 
 def test_06_bruteforce_respects_the_edge_bound():
-    passes(*(f"brute-max-n{n}" for n in range(1, 6)))
+    passes(*(f"brute-max-n{n}" for n in range(1, 9)))
 
 
 def test_06_bipartite_construction_attains_the_floor():

@@ -20,13 +20,14 @@ from posat import (
     turan_bipartite,
     unique_pair_family,
 )
-from posat.digraph import is_induced_oriented_cycle
+from posat.digraph import BRUTEFORCE_CAP, is_induced_oriented_cycle
 from posat.errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
 
 from conftest import (
     brute_first_transitive_cycle,
     brute_max_tc_free,
     brute_singleton_difference_pairs,
+    plain_max_tc_free,
 )
 
 
@@ -201,6 +202,26 @@ def test_brute_max_n5_attains_the_plus_two():
     assert is_tc_free(witness) and witness.edge_count() == 8
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_brute_max_matches_the_plain_branch_and_bound(n):
+    # the symmetry and degree-floor prunes keep the count and the witness
+    count, witness = max_tc_free_edges_bruteforce(n)
+    assert (count, witness.sorted_edges()) == plain_max_tc_free(n)
+
+
+@pytest.mark.parametrize("n,expected", [(6, 10), (7, 12), (8, 16), (9, 20)])
+def test_brute_max_pinned_values(n, expected):
+    # 2(n - 1) up to n = 7, floor(n^2/4) from n = 7 on
+    count, witness = max_tc_free_edges_bruteforce(n)
+    assert count == expected
+    assert witness.vertex_count == n and witness.edge_count() == count
+    assert is_tc_free(witness)
+    if n >= 8:
+        # the lexicographically smallest maximizer: 0 -> {1..m} -> {m+1..n-1}
+        middle, top = range(1, (n + 1) // 2 + 1), range((n + 1) // 2 + 1, n)
+        assert witness.sorted_edges() == [(0, b) for b in middle] + [(a, b) for a in middle for b in top]
+
+
 def test_brute_max_is_capped():
     with pytest.raises(TooLarge):
-        max_tc_free_edges_bruteforce(6)
+        max_tc_free_edges_bruteforce(BRUTEFORCE_CAP + 1)

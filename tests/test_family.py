@@ -49,6 +49,7 @@ from posat.family import (
     orbit_count,
     orbit_representatives,
     singleton_difference_pairs,
+    singleton_difference_table,
     twin_classes,
 )
 from posat.poset import _plan, has_pinned_copy
@@ -492,6 +493,24 @@ def test_singleton_difference_pairs_match_definition(F, i):
     if i > F.n:
         return
     assert singleton_difference_pairs(F, i) == brute_singleton_difference_pairs(F.members, i)
+
+
+@pytest.mark.parametrize("n,members", [
+    (0, []),
+    (0, [0]),
+    (5, []),
+    (5, [0b10110]),
+    # bit 63 is the top bit of a lane, just below its guard
+    (64, [0, 1 << 63, 1 << 63 | 1, (1 << 64) - 1, (1 << 64) - 1 ^ 1 << 63, 1 << 62]),
+    # five or six pairs in every row
+    (3, [0, 0b001, 0b010, 0b011, 0b100, 0b101]),
+])
+def test_singleton_difference_table_edge_cases(n, members):
+    F = SetFamily.of(n, members)
+    table = singleton_difference_table(F)
+    assert table == [brute_singleton_difference_pairs(F.members, i) for i in range(1, n + 1)]
+    if n == 3:
+        assert [len(pairs) for pairs in table] == [5, 6, 6]
 
 
 def test_singleton_difference_pairs_rejects_out_of_range_index():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from posat import Digraph, SetFamily, catalog, from_cover_relations, verify
 from posat.cli import main
+from posat.digraph import BRUTEFORCE_CAP
 from posat.errors import ParseError
 from posat.io import (
     digraph_dot,
@@ -131,6 +132,23 @@ def test_cli_satstar_exact(tmp_path, capsys):
     assert "upper=4 kind=greedy" in out and "exact=true" in out and "witness:" in out
 
 
+def test_cli_satstar_stats(capsys):
+    # the same output with the counters after it, one key=value per line
+    argv = ["satstar", "--n", "4", "--poset", "name=diamond"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(plain)
+    stats = dict(line.split("=", 1) for line in out[len(plain):].splitlines())
+    assert list(stats) == ["nodes", "leaves", "symmetry_prunes", "lookahead_prunes", "queries",
+                           "level_seconds", "copies", "build_seconds"]
+    assert int(stats["nodes"]) >= int(stats["leaves"]) > 0 and int(stats["copies"]) > 0
+    # no search ran: no counters
+    assert main(["satstar", "--n", "3", "--poset", "name=fork", "--stats"]) == 0
+    assert capsys.readouterr().out.endswith("stats=none\n")
+
+
 def test_cli_satstar_bounds(capsys):
     assert main(["satstar", "--n", "4", "--poset", "name=X", "--bounds"]) == 0
     out = capsys.readouterr().out
@@ -238,7 +256,7 @@ def test_cli_error_exit_codes(tmp_path):
     bad = write(tmp_path, "bad.txt", "nonsense\n")
     assert main(["check-saturated", "--family", bad, "--poset", "name=X"]) == 3
     assert main(["legs", "--poset", str(tmp_path / "missing.txt")]) == 3
-    assert main(["digraph", "brute-max", "--n", "9"]) == 4
+    assert main(["digraph", "brute-max", "--n", str(BRUTEFORCE_CAP + 1)]) == 4
     assert main(["satstar", "--n", "3", "--poset", "name=chain:1"]) == 2
 
 
