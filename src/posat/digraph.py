@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BadParam, HypothesisFails, NotAnInducedCycle, TooLarge
-from .family import SetFamily, singleton_difference_table
+from .family import SetFamily
 from .search import TranspositionLanes
 
 
@@ -58,7 +58,7 @@ def auxiliary_digraph(F: SetFamily) -> Digraph:
     Distinct i always pick distinct pairs, so the result has exactly n edges.
     """
     edges = []
-    for i, pairs in enumerate(singleton_difference_table(F), 1):
+    for i, pairs in enumerate(F._pair_rows, 1):
         if not pairs:
             raise HypothesisFails(i)
         edges.append(pairs[0])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadIndex,
@@ -75,6 +76,12 @@ class SetFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _pair_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The rows of ``singleton_difference_table``, built on first use
+        and kept for the life of this object (the fields are frozen)."""
+        return _pair_table(self.n, self.members)
 
 
 # -- structure ---------------------------------------------------------------
@@ -378,7 +385,13 @@ def unique_pair_family(n: int) -> SetFamily:
 
 def singleton_difference_table(F: SetFamily) -> list[list[tuple[int, int]]]:
     """At index i - 1, for every i in [n], all ordered member-index pairs
-    (a, b) with A \\ B = {i}, in lexicographic index order.
+    (a, b) with A \\ B = {i}, in lexicographic index order.  Each family
+    builds its table once (``_pair_table``); every call returns new lists."""
+    return [list(row) for row in F._pair_rows]
+
+
+def _pair_table(n: int, members: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of ``singleton_difference_table`` for these members.
 
     The members lie side by side in one int, B in lane b of n + 1 bits
     whose top bit is a guard, so each A takes a few big-int steps for every
@@ -386,15 +399,14 @@ def singleton_difference_table(F: SetFamily) -> list[list[tuple[int, int]]]:
     the guard iff x is not 0; x & y clears the lowest bit of x, and is 0 iff
     x has at most one bit.  The lanes with one bit left, read in ascending
     order, give the pairs (a, b) and the ground element of each."""
-    n = F.n
     width = n + 1
     table = [[] for _ in range(n)]
     lows = packed = 0
-    for b, B in enumerate(F.members):
+    for b, B in enumerate(members):
         lows |= 1 << width * b
         packed |= B << width * b
     guards = lows << n
-    for a, A in enumerate(F.members):
+    for a, A in enumerate(members):
         x = A * lows & ~packed
         y = (x | guards) - lows
         one = y & guards & ~((x & y & ~guards | guards) - lows)
@@ -404,7 +416,7 @@ def singleton_difference_table(F: SetFamily) -> list[list[tuple[int, int]]]:
             x ^= low
             b, i = divmod(low.bit_length() - 1, width)
             table[i].append((a, b))
-    return table
+    return tuple(map(tuple, table))
 
 
 def singleton_difference_pairs(F: SetFamily, i: int) -> list[tuple[int, int]]:
@@ -412,4 +424,4 @@ def singleton_difference_pairs(F: SetFamily, i: int) -> list[tuple[int, int]]:
     in lexicographic index order; row i - 1 of ``singleton_difference_table``."""
     if not 1 <= i <= F.n:
         raise BadIndex(f"i must be in 1..{F.n}")
-    return singleton_difference_table(F)[i - 1]
+    return list(F._pair_rows[i - 1])

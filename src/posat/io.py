@@ -6,7 +6,7 @@ import re
 
 from .digraph import Digraph
 from .errors import ParseError
-from .family import SetFamily, elems_of, mask_of
+from .family import MAX_GROUND, SetFamily, elems_of, mask_of
 from .poset import Poset, catalog, from_cover_relations
 
 
@@ -77,7 +77,12 @@ def poset_dot(P: Poset) -> str:
 # -- family ------------------------------------------------------------------
 
 def parse_family(text: str) -> SetFamily:
-    """Format: `n=<int>` then one member per line as `{}` or `{1,3,4}`."""
+    """Format: `n=<int>` then one member per line as `{}` or `{1,3,4}`.
+
+    A line spelled as ``format_member`` spells it (canonical elements in
+    1..n, no spaces, in any order) is read by table lookups: the sum of the
+    elements' bits, whose popcount equals the item count iff no element
+    repeats.  Every other line goes to ``_parse_member``."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty family file")
@@ -85,20 +90,34 @@ def parse_family(text: str) -> SetFamily:
     if not m:
         raise ParseError(f"expected n=<int>, got {lines[0]!r}")
     n = int(m.group(1))
+    bits = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_GROUND) + 1)}
     members = []
     for line in lines[1:]:
-        sm = re.fullmatch(r"\{([\d,\s]*)\}", line)
-        if not sm:
-            raise ParseError(f"expected a set like {{1,3}}, got {line!r}")
-        body = sm.group(1).strip()
+        items = line[1:-1].split(",") if len(line) > 2 else ()
         try:
-            elems = [int(x) for x in body.split(",")] if body else []
-        except ValueError:
-            raise ParseError(f"empty or space-separated item in {line!r}")
-        if any(not 1 <= e <= n for e in elems):
-            raise ParseError(f"element out of range in {line!r}")
-        members.append(mask_of(elems))
+            mask = sum(map(bits.__getitem__, items))
+        except KeyError:
+            mask = None
+        if mask is None or mask.bit_count() != len(items) or line[0] != "{" or line[-1] != "}":
+            mask = _parse_member(line, n)
+        members.append(mask)
     return SetFamily.of(n, members)
+
+
+def _parse_member(line: str, n: int) -> int:
+    """The mask of one member line in any spelling the format allows, or a
+    ParseError that quotes the line."""
+    sm = re.fullmatch(r"\{([\d,\s]*)\}", line)
+    if not sm:
+        raise ParseError(f"expected a set like {{1,3}}, got {line!r}")
+    body = sm.group(1).strip()
+    try:
+        elems = [int(x) for x in body.split(",")] if body else []
+    except ValueError:
+        raise ParseError(f"empty or space-separated item in {line!r}")
+    if any(not 1 <= e <= n for e in elems):
+        raise ParseError(f"element out of range in {line!r}")
+    return mask_of(elems)
 
 
 def format_member(mask: int) -> str:
@@ -128,7 +147,8 @@ def family_dot(F: SetFamily) -> str:
 # -- digraph -----------------------------------------------------------------
 
 def parse_digraph(text: str) -> Digraph:
-    """Format: `vertices=<n>` then one `u -> v` per line (1-based)."""
+    """Format: `vertices=<n>` then one `u -> v` per line (1-based), with
+    u != v both in 1..n."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty digraph file")
@@ -141,7 +161,12 @@ def parse_digraph(text: str) -> Digraph:
         em = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
         if not em:
             raise ParseError(f"expected `u -> v`, got {line!r}")
-        edges.append((int(em.group(1)) - 1, int(em.group(2)) - 1))
+        u, v = int(em.group(1)), int(em.group(2))
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex out of range in {line!r}")
+        if u == v:
+            raise ParseError(f"loop in {line!r}")
+        edges.append((u - 1, v - 1))
     return Digraph.of(n, edges)
 
 

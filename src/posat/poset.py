@@ -389,8 +389,11 @@ def _match(plan, up, down, first: int):
 
 def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
     """An injective map from P into Q preserving and reflecting the strict
-    order, or None."""
-    return next(induced_copies(P, Q.up, Q.down_masks()), None)
+    order, or None: the first embedding of ``induced_copies``, taken from the
+    plan without order constraints, so Aut(P) is never listed."""
+    if P.size > Q.size:
+        return None
+    return next(_match(_plan(P.up, None), Q.up, Q.down_masks(), (1 << Q.size) - 1), None)
 
 
 def isomorphic(P: Poset, Q: Poset) -> bool:

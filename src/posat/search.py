@@ -22,7 +22,6 @@ from .family import (
     complement_family,
     is_induced_saturated,
     iter_induced_embeddings,
-    singleton_difference_table,
     wedge_upper_family,
     x_upper_family,
     y_upper_family,
@@ -569,7 +568,7 @@ def digraph_lower_bound_check(F: SetFamily) -> PairCoverReport:
     len(F) >= 2*sqrt(n-2) that the pairs imply through the transitive-cycle-
     free auxiliary digraph.  That bound is a theorem and is asserted."""
     bound = 2.0 * math.sqrt(max(F.n - 2, 0))
-    for i, pairs in enumerate(singleton_difference_table(F), 1):
+    for i, pairs in enumerate(F._pair_rows, 1):
         if not pairs:
             return PairCoverReport(False, i, bound)
     assert len(F) >= bound, (len(F), F.n)

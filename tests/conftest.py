@@ -2,22 +2,27 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  Two exceptions: networkx VF2, an
-independent matcher used only in tests, and ``plain_max_tc_free``, a plain
+code shared with the library internals.  Three exceptions: networkx VF2,
+an independent matcher used only in tests; ``plain_max_tc_free``, a plain
 branch-and-bound that reaches further than full enumeration and keeps the
 library's transitive-chord test (itself checked against
-``brute_first_transitive_cycle``).  The library is checked against these,
-never the other way around.
+``brute_first_transitive_cycle``); and ``plain_parse_family``, the family
+format read with one regex, ``int`` and a range check per element and no
+lookup table, which builds the library's ``SetFamily`` and raises its
+``ParseError``.  The library is checked
+against these, never the other way around.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
-from posat import Digraph, Poset
+from posat import Digraph, Poset, SetFamily
 from posat.digraph import _transitive_chord
+from posat.errors import ParseError
 
 
 def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | None = None) -> bool:
@@ -166,3 +171,33 @@ def plain_max_tc_free(n: int) -> tuple[int, list[tuple[int, int]]]:
     adj0[0] = 1 << 1
     dfs(1, [(0, 1)], adj0)
     return best, sorted(best_edges)
+
+
+def plain_parse_family(text: str) -> SetFamily:
+    """The family text format read line by line with one regex, ``int`` and
+    a range check per element: ``n=<int>`` then one member per line, with
+    ``#`` comments and blank lines skipped."""
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    if not lines:
+        raise ParseError("empty family file")
+    m = re.fullmatch(r"n=(\d+)", lines[0])
+    if not m:
+        raise ParseError(f"expected n=<int>, got {lines[0]!r}")
+    n = int(m.group(1))
+    members = []
+    for line in lines[1:]:
+        sm = re.fullmatch(r"\{([\d,\s]*)\}", line)
+        if not sm:
+            raise ParseError(f"expected a set like {{1,3}}, got {line!r}")
+        body = sm.group(1).strip()
+        try:
+            elems = [int(x) for x in body.split(",")] if body else []
+        except ValueError:
+            raise ParseError(f"empty or space-separated item in {line!r}")
+        if any(not 1 <= e <= n for e in elems):
+            raise ParseError(f"element out of range in {line!r}")
+        mask = 0
+        for e in elems:
+            mask |= 1 << (e - 1)
+        members.append(mask)
+    return SetFamily.of(n, members)

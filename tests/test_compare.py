@@ -47,3 +47,22 @@ def test_frontier_medians_reject_contradicting_passes():
 def test_src_lines_counts_the_package_sources():
     want = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "posat").glob("*.py"))
     assert compare.src_lines(ROOT) == want > 0
+
+
+def test_main_alternates_which_side_runs_first(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_perfbench(checkout, seed, seconds):
+        calls.append(("perfbench", checkout.name))
+        return {"pair_certificates": {metric: 1.0 for metric in compare.METRICS}}
+
+    def fake_frontier(checkout):
+        calls.append(("frontier", checkout.name))
+        return [{"poset": "fork", "n": 4, "lower": 5, "upper": 5, "seconds": 1.0}]
+
+    monkeypatch.setattr(compare, "perfbench", fake_perfbench)
+    monkeypatch.setattr(compare, "frontier", fake_frontier)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    compare.main([str(parent), str(change), "--runs", "3", "--out", str(tmp_path / "bench.json")])
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [("perfbench", side) for side in order] + [("frontier", side) for side in order]

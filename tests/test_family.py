@@ -52,7 +52,11 @@ from posat.family import (
     singleton_difference_table,
     twin_classes,
 )
+from posat import family
+from posat.digraph import auxiliary_digraph
+from posat.io import format_family, parse_family
 from posat.poset import _plan, has_pinned_copy
+from posat.search import digraph_lower_bound_check
 
 from conftest import brute_has_induced_copy, brute_singleton_difference_pairs, vf2_embeddings
 
@@ -511,6 +515,33 @@ def test_singleton_difference_table_edge_cases(n, members):
     assert table == [brute_singleton_difference_pairs(F.members, i) for i in range(1, n + 1)]
     if n == 3:
         assert [len(pairs) for pairs in table] == [5, 6, 6]
+
+
+def test_each_family_object_builds_its_pair_table_once(monkeypatch):
+    builds = []
+
+    def counting(n, members):
+        builds.append(members)
+        return real(n, members)
+
+    real = family._pair_table
+    monkeypatch.setattr(family, "_pair_table", counting)
+    text = format_family(unique_pair_family(16))
+    F = parse_family(text)
+    rows = [singleton_difference_pairs(F, i) for i in range(1, F.n + 1)]
+    assert digraph_lower_bound_check(F).hypothesis_holds
+    assert auxiliary_digraph(F).edges == {pairs[0] for pairs in rows}
+    assert singleton_difference_table(F) == rows
+    assert len(builds) == 1
+    # the answers are copies: mutating one leaves the next intact
+    rows[0].append((0, 0))
+    singleton_difference_table(F)[1].clear()
+    assert singleton_difference_table(F) == [brute_singleton_difference_pairs(F.members, i) for i in range(1, 17)]
+    # an equal family from another parse builds its own table
+    G = parse_family(text)
+    assert G == F and G is not F
+    assert singleton_difference_pairs(G, 1) == rows[0][:-1]
+    assert len(builds) == 2
 
 
 def test_singleton_difference_pairs_rejects_out_of_range_index():

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posat import Digraph, SetFamily, catalog, from_cover_relations, verify
 from posat.cli import main
 from posat.digraph import BRUTEFORCE_CAP
-from posat.errors import ParseError
+from posat.errors import ParseError, PosatError
 from posat.io import (
     digraph_dot,
     family_dot,
@@ -22,6 +22,8 @@ from posat.io import (
     parse_poset_spec,
     poset_dot,
 )
+
+from conftest import plain_parse_family
 
 
 def cover_sets(max_p=6):
@@ -99,6 +101,63 @@ def test_malformed_family_members_are_parse_errors(tmp_path, capsys, member):
     fam = write(tmp_path, "bad.txt", f"n=3\n{member}\n")
     assert main(["check-saturated", "--family", fam, "--poset", "name=X"]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+MALFORMED_MEMBERS = ["{1,,2}", "{1 2}", "{1,}", "{,}", "{,1}", "1,2", "{1,2", "(1,2}", "{1,2)", "{{1}}", "{}}", "{a}", "{-1}", "{"]
+
+
+@st.composite
+def member_lines(draw, n: int) -> str:
+    elems = draw(st.lists(st.integers(0, n + 2), max_size=6))
+    spell = draw(st.sampled_from(["canonical", "raw", "spaced", "zeros", "malformed", "blank"]))
+    if spell == "canonical":
+        line = "{" + ",".join(str(e) for e in sorted(set(elems)) if 1 <= e <= n) + "}"
+    elif spell == "raw":  # unordered, repeats, 0 and elements above n
+        line = "{" + ",".join(map(str, elems)) + "}"
+    elif spell == "spaced":
+        line = "{ " + " , ".join(map(str, elems)) + " }"
+    elif spell == "zeros":
+        line = "{" + ",".join(f"0{e}" for e in elems) + "}"
+    elif spell == "malformed":
+        line = draw(st.sampled_from(MALFORMED_MEMBERS))
+    else:
+        line = ""
+    return draw(st.sampled_from(["", "  ", "\t"])) + line + draw(st.sampled_from(["", " ", "  # note"]))
+
+
+@st.composite
+def family_texts(draw) -> str:
+    n = draw(st.integers(0, 12))
+    header = draw(st.sampled_from([f"n={n}", f" n={n}  # ground set", "n=x"]))
+    lines = draw(st.lists(member_lines(n), max_size=12))
+    return "\n".join(["# a family", header, *lines]) + "\n"
+
+
+def parse_outcome(parse, text: str):
+    try:
+        F = parse(text)
+    except PosatError as exc:
+        return type(exc).__name__, str(exc)
+    return F.n, F.members
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_texts())
+def test_parse_family_matches_the_plain_parser(text):
+    # the same family, or the same error and message, for every spelling
+    assert parse_outcome(parse_family, text) == parse_outcome(plain_parse_family, text)
+
+
+@pytest.mark.parametrize("text", [
+    "n=3\n{1,1}\n{3,1}\n{02}\n{ 2 }\n{ }\n{}\n",
+    "n=3\n{1,2,3}\n{4}\n",
+    "n=3\n{0}\n",
+    "n=80\n{70}\n",
+    "n=80\n{1,,2}\n",
+    *(f"n=3\n{{1}}\n{member}\n" for member in MALFORMED_MEMBERS),
+])
+def test_parse_family_matches_the_plain_parser_on_hand_texts(text):
+    assert parse_outcome(parse_family, text) == parse_outcome(plain_parse_family, text)
 
 
 def test_dot_outputs_are_wellformed():
@@ -230,6 +289,17 @@ def test_cli_digraph_actions(tmp_path, capsys):
     assert main(["digraph", "turan", "--n", "4"]) == 0
     assert main(["digraph", "brute-max", "--n", "3"]) == 0
     assert "max_edges=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edge, message", [
+    ("0 -> 1", "vertex out of range in '0 -> 1'"),
+    ("1 -> 3", "vertex out of range in '1 -> 3'"),
+    ("1 -> 1", "loop in '1 -> 1'"),
+])
+def test_cli_bad_digraph_edges_are_parse_errors(tmp_path, capsys, edge, message):
+    bad = write(tmp_path, "bad.txt", f"vertices=2\n{edge}\n")
+    assert main(["digraph", "tc-check", "--digraph", bad]) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_cli_legs_and_dual(capsys):

@@ -21,7 +21,7 @@ from posat import (
 )
 from posat.errors import BadParam, CycleInCovers, IndexOutOfRange, UnknownName
 from posat.family import InclusionRows
-from posat.poset import induced_copies, iter_legs_witnesses
+from posat.poset import _automorphisms, induced_copies, iter_legs_witnesses
 
 from conftest import vf2_embeddings
 
@@ -248,6 +248,8 @@ def test_embedding_matches_vf2(nx, pc_small, pc_big):
     assert (w is not None) == bool(copies)
     if w is not None:
         assert w.mapping in copies
+    # the first copy the one-per-copy enumerator yields
+    assert w == next(induced_copies(P, Q.up, Q.down_masks()), None)
 
 
 def test_embedding_hand_cases():
@@ -256,6 +258,15 @@ def test_embedding_hand_cases():
     assert is_induced_subposet(catalog("chain", 3), catalog("diamond")) is not None
     assert is_induced_subposet(catalog("fork"), catalog("X")) is not None
     assert is_induced_subposet(catalog("diamond"), catalog("X")) is None
+
+
+def test_first_embedding_lists_no_automorphisms():
+    # antichain(9) has 9! automorphisms; the first embedding needs none
+    _automorphisms.cache_clear()
+    w = is_induced_subposet(catalog("antichain", 9), catalog("antichain", 10))
+    assert w is not None and w.mapping == tuple(range(9))
+    assert isomorphic(catalog("antichain", 9), catalog("antichain", 9))
+    assert _automorphisms.cache_info().currsize == 0
 
 
 def test_isomorphic_distinguishes_catalog():

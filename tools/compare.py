@@ -2,10 +2,11 @@
 search frontier, and write the result as one JSON file.
 
 For each seed, ``perfbench/run.py --workload all --seconds S --trace 0`` runs
-in each checkout in turn (parent first), ``--runs`` times, and the medians
-of the end-to-end metrics are kept with every run.  Then ``tools/frontier.py``
-of this checkout runs ``--runs`` times on each checkout's ``src``, in turn
-again: each task keeps the record of its median-seconds pass with every
+in each checkout in turn, ``--runs`` times, the parent first on even runs
+and the change first on odd ones, and the medians of the end-to-end metrics
+are kept with every run.  Then ``tools/frontier.py`` of this checkout runs
+``--runs`` times on each checkout's ``src``, in the same alternating order:
+each task keeps the record of its median-seconds pass with every
 pass's seconds and bounds and the tightest bounds over the passes, and the
 script fails when the bounds of a task's passes on one side contradict
 each other.  The report also gives each side's line count of
@@ -76,6 +77,14 @@ def frontier_medians(passes: list[list[dict]]) -> list[dict]:
     return table
 
 
+def in_turn(sides: dict, r: int) -> list:
+    """The (side, checkout) pairs of run r in the order they run: the parent
+    first on even runs and the change first on odd runs, so a drift within
+    a pair lands on each side in turn."""
+    items = list(sides.items())
+    return items if r % 2 == 0 else items[::-1]
+
+
 def src_lines(checkout: Path) -> int:
     """The line count of ``src/posat/*.py``, as ``wc -l`` counts it."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "posat").glob("*.py"))
@@ -103,7 +112,7 @@ def main(argv=None) -> None:
     for seed in args.seeds:
         runs = {side: [] for side in sides}
         for r in range(args.runs):
-            for side, checkout in sides.items():
+            for side, checkout in in_turn(sides, r):
                 runs[side].append(perfbench(checkout, seed, args.seconds))
                 print(f"seed {seed} run {r} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
         table = {}
@@ -120,7 +129,7 @@ def main(argv=None) -> None:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     passes = {side: [] for side in sides}
     for r in range(args.runs):
-        for side, checkout in sides.items():
+        for side, checkout in in_turn(sides, r):
             passes[side].append(frontier(checkout))
             print(f"frontier run {r} {side} done", file=sys.stderr, flush=True)
     report["frontier"] = {}
