@@ -7,7 +7,7 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import os
 import sys
 import time
@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", action="append", required=True)
     p.add_argument("--bounds", action="store_true", help="certified bounds only, no search")
     p.add_argument("--time-limit", type=float, default=_default_time_limit())
-    p.add_argument("--stats", action="store_true", help="print the search counters after the result")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--stats", action="store_true", help="print the search counters after the result")
+    g.add_argument("--json", action="store_true", help="print the result and the search counters as one JSON object")
     p.add_argument("--out")
 
     p = sub.add_parser("construct", help="write a named family construction")
@@ -157,10 +159,28 @@ def _cmd_satstar(args) -> int:
         result = search.certified_bounds(args.n, posets)
     else:
         result = search.exact_sat_star(args.n, posets, search.SearchConfig(time_limit=args.time_limit))
-    _emit(pio.format_result(result), args.out)
+    _emit(_result_json(result) if args.json else pio.format_result(result), args.out)
     if args.stats:
         sys.stdout.write(_format_stats(result.stats))
     return 0 if result.exact or args.bounds else 4
+
+
+def _result_json(result) -> str:
+    """The result as one JSON object: the bounds and their kinds, ``exact``,
+    the witness members as lists of 1-based elements, and the
+    ``SearchStats`` fields (``level_seconds`` as [k, seconds] pairs); the
+    witness and the stats are null when there are none."""
+    witness = result.witness
+    return json.dumps({
+        "n": result.n,
+        "lower_bound": result.lower_bound,
+        "lower_kind": result.lower_kind,
+        "upper_bound": result.upper_bound,
+        "upper_kind": result.upper_kind,
+        "exact": result.exact,
+        "witness": None if witness is None else [fam.elems_of(m) for m in witness.members],
+        "stats": None if result.stats is None else result.stats._asdict(),
+    }) + "\n"
 
 
 def _format_stats(stats) -> str:
@@ -170,13 +190,12 @@ def _format_stats(stats) -> str:
     if stats is None:
         return "stats=none\n"
     lines = []
-    for field in dataclasses.fields(stats):
-        value = getattr(stats, field.name)
+    for name, value in zip(stats._fields, stats):
         if isinstance(value, float):
             value = f"{value:.6f}"
         elif isinstance(value, tuple):
             value = ",".join(f"{k}:{s:.6f}" for k, s in value)
-        lines.append(f"{field.name}={value}")
+        lines.append(f"{name}={value}")
     return "\n".join(lines) + "\n"
 
 

@@ -245,6 +245,8 @@ def _max_tc_free(n: int, below: int) -> tuple[int, list[tuple[int, int]]]:
         swap[i], swap[j] = j, i
         maps.append([index[swap[u], swap[v]] for u, v in all_edges])
     lanes = TranspositionLanes.of_maps(maps, ecount)
+    # read once: a named tuple field costs more per read than a local
+    image, ones = lanes.image, lanes.ones
     # reach[w][r - 1]: the position of the r-th last edge at vertex w, the
     # last cursor from which w can still gain r edges (-1 past its edges)
     reach = [[j for j in range(ecount - 1, -1, -1) if w in all_edges[j]] + [-1] * ecount for w in range(n)]
@@ -279,7 +281,7 @@ def _max_tc_free(n: int, below: int) -> tuple[int, list[tuple[int, int]]]:
         for j in range(idx, ecount):
             if j >= end:
                 break
-            j_images, j_marks = images | lanes.image[j], marks | lanes.ones << j
+            j_images, j_marks = images | image[j], marks | ones << j
             if not lanes.canonical(j_images, j_marks):
                 continue
             u, v = all_edges[j]
@@ -299,7 +301,7 @@ def _max_tc_free(n: int, below: int) -> tuple[int, list[tuple[int, int]]]:
             chosen.pop()
             adj[u] = row
 
-    dfs(1, lanes.image[0], lanes.ones)
+    dfs(1, image[0], ones)
     assert best_edges is not None
     return best, best_edges
 

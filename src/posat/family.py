@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadIndex,
@@ -265,8 +266,7 @@ def addable_sets(F: SetFamily, forbidden):
     yield from sorted(m for s in _free_representatives(F, forbidden, classes) for m in orbit(s, classes))
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     """Verdict of the saturation check with a machine-checkable diagnostic.
 
     On failure exactly one of ``forbidden_copy`` (poset index, member-index

@@ -148,7 +148,12 @@ def family_dot(F: SetFamily) -> str:
 
 def parse_digraph(text: str) -> Digraph:
     """Format: `vertices=<n>` then one `u -> v` per line (1-based), with
-    u != v both in 1..n."""
+    u != v both in 1..n.
+
+    A line spelled as ``format_digraph`` spells it (`u -> v`, canonical
+    vertices) is read by two lookups in a token -> index table of
+    1..min(n, len(text)), so the table never outgrows the text.  Every
+    other line goes to ``_parse_edge``."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty digraph file")
@@ -156,18 +161,29 @@ def parse_digraph(text: str) -> Digraph:
     if not m:
         raise ParseError(f"expected vertices=<n>, got {lines[0]!r}")
     n = int(m.group(1))
+    index = {str(v): v - 1 for v in range(1, min(n, len(text)) + 1)}
     edges = []
     for line in lines[1:]:
-        em = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
-        if not em:
-            raise ParseError(f"expected `u -> v`, got {line!r}")
-        u, v = int(em.group(1)), int(em.group(2))
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range in {line!r}")
-        if u == v:
-            raise ParseError(f"loop in {line!r}")
-        edges.append((u - 1, v - 1))
+        a, _, b = line.partition(" -> ")
+        u, v = index.get(a), index.get(b)
+        if u is None or v is None or u == v:
+            u, v = _parse_edge(line, n)
+        edges.append((u, v))
     return Digraph.of(n, edges)
+
+
+def _parse_edge(line: str, n: int) -> tuple[int, int]:
+    """The 0-based ends of one edge line in any spelling the format allows,
+    or a ParseError that quotes the line."""
+    em = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
+    if not em:
+        raise ParseError(f"expected `u -> v`, got {line!r}")
+    u, v = int(em.group(1)), int(em.group(2))
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(f"vertex out of range in {line!r}")
+    if u == v:
+        raise ParseError(f"loop in {line!r}")
+    return u - 1, v - 1
 
 
 def format_digraph(D: Digraph) -> str:

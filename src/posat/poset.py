@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadParam, CycleInCovers, IndexOutOfRange, UnknownName
 
@@ -79,8 +80,7 @@ class Poset:
         return Poset(self.size, tuple(up), self.name)
 
 
-@dataclass(frozen=True)
-class LegsWitness:
+class LegsWitness(NamedTuple):
     """Two incomparable elements below a hip; all other elements above it."""
 
     leg1: int
@@ -88,8 +88,7 @@ class LegsWitness:
     hip: int
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(NamedTuple):
     """An injective order-preserving-and-reflecting map.
 
     ``mapping[a]`` is the target index (poset element or family member) that

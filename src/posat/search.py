@@ -11,6 +11,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from .family import (
@@ -29,13 +30,11 @@ from .family import (
 from .poset import LegsWitness, Poset, dual, has_legs, induced_copies, isomorphic, isomorphism_classes, iter_legs_witnesses
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     time_limit: float | None = None
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """The work of one exact search: the DFS nodes visited (the families
     of the target size tested for maximality included), those families
     (leaves), the children the symmetry lanes pruned, the nodes the
@@ -107,8 +106,7 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
     return SetFamily.of(n, rows.members)
 
 
-@dataclass(frozen=True)
-class TranspositionLanes:
+class TranspositionLanes(NamedTuple):
     """The image of every point under every map of a list (one lane per
     map), packed into one int per point: lane t of ``image[p]`` has bit
     g_t(p) + 1 set, and bit 0 of every lane is spare.  ``build`` gives the
@@ -476,7 +474,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
             low = free & -free
             free ^= low
             m = low.bit_length() - 1
-            m_images, m_marks = images | lanes.image[m], marks | lanes.ones << m
+            m_images, m_marks = images | image[m], marks | ones << m
             if not lanes.canonical(m_images, m_marks):
                 symmetry_prunes += 1
                 continue
@@ -492,6 +490,8 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     closed = all(any(isomorphic(dual(P), Q) for Q in forbidden) for P in forbidden)
     # with no symmetry, lanes with no lane: every set is canonical
     lanes = TranspositionLanes.build(n, complement=closed) if symmetry else TranspositionLanes((0,) * total, 0, 0)
+    # read once: a named tuple field costs more per read than a local
+    image, ones = lanes.image, lanes.ones
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
     levels = []
 
@@ -524,8 +524,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
 
 # -- certificates ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LegsCertificate:
+class LegsCertificate(NamedTuple):
     """A lower bound on the minimum saturated family size that follows from
     the legs structure alone."""
 
@@ -548,8 +547,7 @@ def legs_lower_bound(P: Poset, n: int) -> LegsCertificate | None:
     return LegsCertificate(n + 1, "legs", w)
 
 
-@dataclass(frozen=True)
-class PairCoverReport:
+class PairCoverReport(NamedTuple):
     """Outcome of the singleton-difference hypothesis check.
 
     If every i in [n] has a member pair (A, B) with A \\ B = {i}, the family

@@ -2,15 +2,15 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  Three exceptions: networkx VF2,
+code shared with the library internals.  Four exceptions: networkx VF2,
 an independent matcher used only in tests; ``plain_max_tc_free``, a plain
 branch-and-bound that reaches further than full enumeration and keeps the
 library's transitive-chord test (itself checked against
-``brute_first_transitive_cycle``); and ``plain_parse_family``, the family
-format read with one regex, ``int`` and a range check per element and no
-lookup table, which builds the library's ``SetFamily`` and raises its
-``ParseError``.  The library is checked
-against these, never the other way around.
+``brute_first_transitive_cycle``); and ``plain_parse_family`` and
+``plain_parse_digraph``, the family and digraph formats read with one regex,
+``int`` and range checks per line and no lookup table, which build the
+library's ``SetFamily`` and ``Digraph`` and raise its ``ParseError``.  The
+library is checked against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -201,3 +201,28 @@ def plain_parse_family(text: str) -> SetFamily:
             mask |= 1 << (e - 1)
         members.append(mask)
     return SetFamily.of(n, members)
+
+
+def plain_parse_digraph(text: str) -> Digraph:
+    """The digraph text format read line by line with one regex, ``int`` and
+    range and loop checks per edge: ``vertices=<n>`` then one ``u -> v`` per
+    line, with ``#`` comments and blank lines skipped."""
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    if not lines:
+        raise ParseError("empty digraph file")
+    m = re.fullmatch(r"vertices=(\d+)", lines[0])
+    if not m:
+        raise ParseError(f"expected vertices=<n>, got {lines[0]!r}")
+    n = int(m.group(1))
+    edges = []
+    for line in lines[1:]:
+        em = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
+        if not em:
+            raise ParseError(f"expected `u -> v`, got {line!r}")
+        u, v = int(em.group(1)), int(em.group(2))
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex out of range in {line!r}")
+        if u == v:
+            raise ParseError(f"loop in {line!r}")
+        edges.append((u - 1, v - 1))
+    return Digraph.of(n, edges)

@@ -1,17 +1,24 @@
-"""tools/compare.py: the frontier summary and the line count."""
+"""tools/compare.py: the frontier summary and the line count; tools/frontier.py:
+the stats records of both kinds."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from posat.search import SearchStats
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare.py")
 compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
+_spec = importlib.util.spec_from_file_location("frontier", ROOT / "tools" / "frontier.py")
+frontier = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(frontier)
 
 
 def bench15_passes() -> list[list[dict]]:
@@ -66,3 +73,28 @@ def test_main_alternates_which_side_runs_first(monkeypatch, tmp_path):
     compare.main([str(parent), str(change), "--runs", "3", "--out", str(tmp_path / "bench.json")])
     order = ["parent", "change", "change", "parent", "parent", "change"]
     assert calls == [("perfbench", side) for side in order] + [("frontier", side) for side in order]
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassStats:
+    """A stand-in for ``SearchStats`` as a frozen dataclass, as in checkouts
+    before it became a named tuple (``tools/compare.py`` runs this
+    frontier script on both)."""
+
+    nodes: int
+    leaves: int
+    symmetry_prunes: int
+    lookahead_prunes: int
+    queries: int
+    level_seconds: tuple[tuple[int, float], ...]
+    copies: int
+    build_seconds: float
+
+
+def test_frontier_stats_record_reads_both_kinds_of_record():
+    values = (9, 4, 1, 2, 30, ((3, 0.25), (4, 0.5)), 77, 0.125)
+    want = {"nodes": 9, "leaves": 4, "symmetry_prunes": 1, "lookahead_prunes": 2, "queries": 30,
+            "level_seconds": [[3, 0.25], [4, 0.5]], "copies": 77, "build_seconds": 0.125}
+    for stats in (SearchStats(*values), DataclassStats(*values)):
+        assert json.loads(json.dumps(frontier.stats_record(stats))) == want
+    assert frontier.stats_record(None) is None

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posat import Digraph, SetFamily, catalog, from_cover_relations, verify
+from posat import (
+    Digraph,
+    SetFamily,
+    catalog,
+    certified_bounds,
+    exact_sat_star,
+    from_cover_relations,
+    is_induced_saturated,
+    verify,
+)
 from posat.cli import main
 from posat.digraph import BRUTEFORCE_CAP
 from posat.errors import ParseError, PosatError
+from posat.family import elems_of, mask_of
 from posat.io import (
     digraph_dot,
     family_dot,
@@ -23,7 +35,7 @@ from posat.io import (
     poset_dot,
 )
 
-from conftest import plain_parse_family
+from conftest import plain_parse_digraph, plain_parse_family
 
 
 def cover_sets(max_p=6):
@@ -160,6 +172,68 @@ def test_parse_family_matches_the_plain_parser_on_hand_texts(text):
     assert parse_outcome(parse_family, text) == parse_outcome(plain_parse_family, text)
 
 
+MALFORMED_EDGES = ["1 - 2", "1->", "-> 2", "1 -> 2 -> 3", "a -> 1", "1 -> -2", "1 => 2", "1 <- 2", "->", "1,2"]
+
+
+@st.composite
+def edge_lines(draw, n: int) -> str:
+    # vertices 0..n + 2 (out of range at both ends) and loops, in every spelling
+    u, v = draw(st.integers(0, n + 2)), draw(st.integers(0, n + 2))
+    spell = draw(st.sampled_from(["canonical", "tight", "wide", "zeros", "malformed", "blank"]))
+    if spell == "canonical":
+        line = f"{u} -> {v}"
+    elif spell == "tight":
+        line = f"{u}->{v}"
+    elif spell == "wide":
+        line = f"{u}  ->\t{v}"
+    elif spell == "zeros":
+        line = f"0{u} -> {v}"
+    elif spell == "malformed":
+        line = draw(st.sampled_from(MALFORMED_EDGES))
+    else:
+        line = ""
+    return draw(st.sampled_from(["", "  ", "\t"])) + line + draw(st.sampled_from(["", " ", "  # note"]))
+
+
+@st.composite
+def digraph_texts(draw) -> str:
+    # 300 vertices outgrow the lookup table of a short text: the high ones
+    # take the validating path
+    n = draw(st.one_of(st.integers(0, 12), st.just(300)))
+    header = draw(st.sampled_from([f"vertices={n}", f" vertices={n}  # size", "vertices=x"]))
+    lines = draw(st.lists(edge_lines(n), max_size=12))
+    return "\n".join(["# a digraph", header, *lines]) + "\n"
+
+
+def digraph_outcome(parse, text: str):
+    try:
+        D = parse(text)
+    except PosatError as exc:
+        return type(exc).__name__, str(exc)
+    return D.vertex_count, D.edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraph_texts())
+def test_parse_digraph_matches_the_plain_parser(text):
+    # the same digraph, or the same error and message, for every spelling
+    assert digraph_outcome(parse_digraph, text) == digraph_outcome(plain_parse_digraph, text)
+
+
+@pytest.mark.parametrize("text", [
+    "vertices=3\n1 -> 2\n2 -> 1\n1 -> 2\n3->1\n02 -> 3\n",
+    "vertices=3\n2 -> 2\n",
+    "vertices=3\n1 -> 4\n",
+    "vertices=3\n0 -> 1\n",
+    "vertices=0\n1 -> 2\n",
+    "vertices=300\n1 -> 299\n",
+    "vertices=20\n1 2 -> 3\n",
+    *(f"vertices=3\n1 -> 2\n{edge}\n" for edge in MALFORMED_EDGES),
+])
+def test_parse_digraph_matches_the_plain_parser_on_hand_texts(text):
+    assert digraph_outcome(parse_digraph, text) == digraph_outcome(plain_parse_digraph, text)
+
+
 def test_dot_outputs_are_wellformed():
     assert poset_dot(catalog("diamond")).startswith("digraph")
     assert 'label="{1,2}"' in family_dot(SetFamily.of(2, [0b11, 0b01]))
@@ -206,6 +280,38 @@ def test_cli_satstar_stats(capsys):
     # no search ran: no counters
     assert main(["satstar", "--n", "3", "--poset", "name=fork", "--stats"]) == 0
     assert capsys.readouterr().out.endswith("stats=none\n")
+
+
+def test_cli_satstar_json(tmp_path, capsys):
+    # one JSON object with the fields of the API result
+    diamond = catalog("diamond")
+    assert main(["satstar", "--n", "4", "--poset", "name=diamond", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    res = exact_sat_star(4, [diamond])
+    assert list(got) == ["n", "lower_bound", "lower_kind", "upper_bound", "upper_kind", "exact", "witness", "stats"]
+    assert (got["n"], got["lower_bound"], got["lower_kind"], got["upper_bound"], got["upper_kind"], got["exact"]) == (
+        res.n, res.lower_bound, res.lower_kind, res.upper_bound, res.upper_kind, res.exact)
+    witness = SetFamily.of(4, [mask_of(elems) for elems in got["witness"]])
+    assert witness == res.witness and is_induced_saturated(witness, [diamond]).saturated
+    assert list(got["stats"]) == list(res.stats._fields)
+    assert got["stats"]["level_seconds"] and all(len(pair) == 2 for pair in got["stats"]["level_seconds"])
+    seconds = {"level_seconds", "build_seconds"}
+    assert {k: v for k, v in got["stats"].items() if k not in seconds} == {
+        k: v for k, v in res.stats._asdict().items() if k not in seconds}
+    # no search ran: null stats, and --out takes the object
+    out = tmp_path / "bounds.json"
+    assert main(["satstar", "--n", "4", "--poset", "name=Yinv", "--bounds", "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    got = json.loads(out.read_text())
+    assert got["stats"] is None and (got["lower_bound"], got["upper_bound"], got["exact"]) == (5, 6, False)
+    assert got["witness"] == [elems_of(m) for m in certified_bounds(4, [catalog("Yinv")]).witness.members]
+
+
+def test_cli_satstar_json_and_stats_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["satstar", "--n", "3", "--poset", "name=fork", "--json", "--stats"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_cli_satstar_bounds(capsys):

@@ -29,8 +29,8 @@ from posat import (
 )
 from posat import search
 from posat.errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
-from posat.family import InclusionRows
-from posat.poset import has_pinned_copy
+from posat.family import InclusionRows, SaturationReport
+from posat.poset import EmbeddingWitness, LegsWitness, has_pinned_copy
 from posat.search import SatStarResult, TranspositionLanes, _CopyTable, _deepen, certified_bounds
 
 from conftest import brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
@@ -598,3 +598,31 @@ def test_exact_value_is_self_dual():
         a = exact_sat_star(3, [P])
         b = exact_sat_star(3, [dual(P)])
         assert a.exact and b.exact and a.lower_bound == b.lower_bound
+
+
+# -- plain records --------------------------------------------------------------
+
+# the fields and defaults each record had as a frozen dataclass
+PLAIN_RECORDS = [
+    (LegsWitness, ("leg1", "leg2", "hip"), {}),
+    (EmbeddingWitness, ("mapping",), {}),
+    (SaturationReport, ("saturated", "forbidden_copy", "addable"), {"forbidden_copy": None, "addable": None}),
+    (SearchConfig, ("time_limit",), {"time_limit": None}),
+    (search.SearchStats, ("nodes", "leaves", "symmetry_prunes", "lookahead_prunes", "queries", "level_seconds",
+                          "copies", "build_seconds"), {}),
+    (TranspositionLanes, ("image", "ones", "spare"), {}),
+    (search.LegsCertificate, ("bound", "kind", "witness", "dual_witness"), {"dual_witness": None}),
+    (search.PairCoverReport, ("hypothesis_holds", "failing_i", "bound"), {}),
+]
+
+
+@pytest.mark.parametrize("record, fields, defaults", PLAIN_RECORDS, ids=[r[0].__name__ for r in PLAIN_RECORDS])
+def test_plain_records_keep_their_fields_and_defaults(record, fields, defaults):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    value = record(*range(len(fields)))
+    # a named tuple: equal to the plain tuple, read-only, repr by field name
+    assert value == tuple(range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], -1)
+    assert repr(value) == f"{record.__name__}(" + ", ".join(f"{f}={i}" for i, f in enumerate(fields)) + ")"

@@ -25,18 +25,27 @@ def tasks():
     yield 7, catalog("diamond"), 180.0
 
 
+def stats_record(stats) -> dict | None:
+    """A result's ``SearchStats`` as a dict, or None: a named tuple in this
+    checkout, a dataclass in older ones."""
+    if stats is None:
+        return None
+    if hasattr(stats, "_asdict"):
+        return stats._asdict()
+    return dataclasses.asdict(stats)
+
+
 def main() -> None:
     for n, P, limit in tasks():
         t0 = time.perf_counter()
         res = exact_sat_star(n, [P], SearchConfig(time_limit=limit))
         seconds = time.perf_counter() - t0
-        stats = getattr(res, "stats", None)
         print(json.dumps({
             "poset": P.name, "n": n, "time_limit": limit, "seconds": round(seconds, 3),
             "lower": res.lower_bound, "upper": res.upper_bound, "exact": res.exact,
             "lower_kind": res.lower_kind, "upper_kind": res.upper_kind,
             "witness": list(res.witness.members) if res.witness is not None else None,
-            "stats": dataclasses.asdict(stats) if stats is not None else None,
+            "stats": stats_record(getattr(res, "stats", None)),
         }), flush=True)
 
 
