@@ -276,7 +276,18 @@ def induced_copies(P: Poset, up, down):
     must not change while the generator is in use.
     """
     if P.size <= len(up):
-        yield from _match(_copy_plan(P.up), up, down, (1 << len(up)) - 1)
+        plan = _copy_plan(P.up)
+        for image in _match(plan, up, down, (1 << len(up)) - 1):
+            yield EmbeddingWitness(_mapping(plan[0], image))
+
+
+def _mapping(order, image) -> tuple[int, ...]:
+    """The mapping of an embedding from its targets in placement order:
+    element ``order[s]`` goes to ``image[s]``."""
+    mapping = [0] * len(order)
+    for a, j in zip(order, image):
+        mapping[a] = j
+    return tuple(mapping)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -285,7 +296,8 @@ def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     copies in itself, as mappings."""
     p = len(up)
     down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
-    return tuple(w.mapping for w in _match(_plan(up, None), up, down, (1 << p) - 1))
+    plan = _plan(up, None)
+    return tuple(_mapping(plan[0], image) for image in _match(plan, up, down, (1 << p) - 1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -338,14 +350,17 @@ def _match(plan, up, down, first: int):
     """Backtracking over the plan's steps: the candidates of a step are the
     AND of the rows of the targets already placed, minus the used ones,
     above the targets its order constraints name, and the first step's are
-    ``first``."""
+    ``first``.  Each embedding is yielded as ``image``, its targets in
+    placement order (``image[s]`` is the target of element ``order[s]``):
+    one list, overwritten as the search goes on, so a caller reads it
+    before the next one (``_mapping`` turns it into a mapping)."""
     order, steps = plan
     p = len(order)
+    image = [0] * p
     if p == 0:
-        yield EmbeddingWitness(())
+        yield image
         return
     every = (1 << len(up)) - 1
-    image = [0] * p
     cands = [0] * p
     cands[0] = first
     used = 0
@@ -366,10 +381,7 @@ def _match(plan, up, down, first: int):
             continue
         image[t] = j
         if t == p - 1:
-            mapping = [0] * p
-            for s, a in enumerate(order):
-                mapping[a] = image[s]
-            yield EmbeddingWitness(tuple(mapping))
+            yield image
             continue
         used |= low
         t += 1
@@ -392,7 +404,9 @@ def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
     plan without order constraints, so Aut(P) is never listed."""
     if P.size > Q.size:
         return None
-    return next(_match(_plan(P.up, None), Q.up, Q.down_masks(), (1 << Q.size) - 1), None)
+    plan = _plan(P.up, None)
+    image = next(_match(plan, Q.up, Q.down_masks(), (1 << Q.size) - 1), None)
+    return None if image is None else EmbeddingWitness(_mapping(plan[0], image))
 
 
 def isomorphic(P: Poset, Q: Poset) -> bool:

@@ -7,6 +7,7 @@ family: a free family is saturated exactly when nothing can be added to it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -27,7 +28,17 @@ from .family import (
     x_upper_family,
     y_upper_family,
 )
-from .poset import LegsWitness, Poset, dual, has_legs, induced_copies, isomorphic, isomorphism_classes, iter_legs_witnesses
+from .poset import (
+    LegsWitness,
+    Poset,
+    _copy_plan,
+    _match,
+    dual,
+    has_legs,
+    isomorphic,
+    isomorphism_classes,
+    iter_legs_witnesses,
+)
 
 
 class SearchConfig(NamedTuple):
@@ -39,12 +50,14 @@ class SearchStats(NamedTuple):
     of the target size tested for maximality included), those families
     (leaves), the children the symmetry lanes pruned, the nodes the
     dead-mask lookahead pruned (leaves rejected as not maximal included),
-    the copy-table queries (``copy_through`` calls of the lookahead and
+    the copy-table queries (``copy_through`` calls of the dead-mask
+    lookahead, ``small_copy_through`` calls of the need-aware one and
     ``blocked_by`` calls, one per child and one per mask a leaf test
     reads), the seconds spent on each target size k searched, as
     (k, seconds) pairs, the distinct forbidden copies in 2^[n] the copy
-    table indexes (0 when the time limit fell before it was built), and
-    the seconds its build took."""
+    table indexes (0 when the time limit fell before it was built), the
+    seconds its build took, and the nodes the need-aware lookahead pruned
+    or cut the children of."""
 
     nodes: int
     leaves: int
@@ -54,6 +67,7 @@ class SearchStats(NamedTuple):
     level_seconds: tuple[tuple[int, float], ...]
     copies: int
     build_seconds: float
+    need_prunes: int
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,15 @@ class TranspositionLanes(NamedTuple):
         return cls.of_maps(maps, 1 << n)
 
 
+@functools.lru_cache(maxsize=2 * (SEARCH_CAP + 1))
+def _cube(n: int, closed: bool) -> tuple[InclusionRows, TranspositionLanes]:
+    """The ``InclusionRows`` of every mask of 2^[n] and the lanes of the
+    masks (``TranspositionLanes.build(n, closed)``), built once per
+    (n, closed), as ``poset._plan`` is: the search only reads them, and
+    runs at n <= ``SEARCH_CAP`` only."""
+    return InclusionRows(range(1 << n)), TranspositionLanes.build(n, complement=closed)
+
+
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise _TimeUp
@@ -168,28 +191,32 @@ def _check_deadline(deadline: float | None) -> None:
 
 class _CopyTable:
     """Every induced copy of a forbidden poset among the masks of 2^[n], as
-    a bitset of masks, indexed for ``copy_through`` and ``blocked_by``:
-    ``through[x]`` lists the copies containing mask x in ascending order,
-    and ``keep[x][c][v]`` has bit i set iff copy ``through[x][i]`` avoids
-    every mask 4c + b with bit b set in v (the "four Russians" tables of
-    Arlazarov et al., 1970).  Row v is row v minus its lowest bit, ANDed
-    with the row of that one mask.  ``tail[x][c]`` is the AND of rows 15 of
-    the chunks from c on: the copies through x that avoid every mask from
-    4c on; ``tail_one[x][c]`` has those with exactly one mask from 4c on."""
+    a bitset of masks, indexed for ``copy_through``, ``small_copy_through``
+    and ``blocked_by``: ``through[x]`` lists the copies containing mask x
+    in ascending order, and ``keep[x][c][v]`` has bit i set iff copy
+    ``through[x][i]`` avoids every mask 4c + b with bit b set in v (the
+    "four Russians" tables of Arlazarov et al., 1970), the 16 rows of a
+    chunk built from its four one-mask rows by 11 ANDs.  ``tail[x][c]`` is
+    the AND of rows 15 of the chunks from c on: the copies through x that
+    avoid every mask from 4c on; ``tail_one[x][c]`` has those with exactly
+    one mask from 4c on."""
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
-        """Enumerate the copies on the cube ``rows``, one embedding each
-        (``induced_copies``; isomorphic posets in the list share their
-        copies, so each class is enumerated once), and build the tables,
-        checking ``deadline`` as it goes; raises TooLarge as soon as the
-        memberships (sum of the copy sizes) cross ``SWEEP_CAP``."""
+        """Enumerate the copies on the cube ``rows`` (the cached rows of
+        the search, only read), one image each from ``_match`` on the
+        ``_copy_plan`` that ``induced_copies`` runs (isomorphic posets in
+        the list share their copies, so each class is enumerated once), and
+        build the tables, checking ``deadline`` as it goes; raises TooLarge
+        as soon as the memberships (sum of the copy sizes) cross
+        ``SWEEP_CAP``."""
         total = len(rows.up)
         self.full = (1 << total) - 1
         pow2 = [1 << j for j in range(total)]
         through = [[] for _ in range(total)]
         self.copies = memberships = 0
         for P in isomorphism_classes(forbidden):
-            for w in induced_copies(P, rows.up, rows.down):
+            images = _match(_copy_plan(P.up), rows.up, rows.down, self.full) if P.size <= total else ()
+            for image in images:
                 if not self.copies & 1023:
                     _check_deadline(deadline)
                 self.copies += 1
@@ -197,10 +224,11 @@ class _CopyTable:
                 if memberships > SWEEP_CAP:
                     raise TooLarge(f"the forbidden copies among the {total} masks hold over "
                                    f"{SWEEP_CAP} memberships, over the cap")
-                bits = sum(map(pow2.__getitem__, w.mapping))
-                for j in w.mapping:
+                bits = sum(map(pow2.__getitem__, image))
+                for j in image:
                     through[j].append(bits)
         self.through = through
+        self.chunks = (total + 3) >> 2
         self.keep, self.tail, self.tail_one = [], [], []
         stride = max(total, 8)  # bits per copy in the grid below, whole bytes
         for x, copies in enumerate(through):
@@ -216,11 +244,9 @@ class _CopyTable:
             avoid = [int(grid[stride - 1 - t::stride] or "0", 2) for t in range(total)] + [ones] * 3
             chunks = []
             for c in range(0, total, 4):
-                row = [ones] * 16
-                for v in range(1, 16):
-                    low = v & -v
-                    row[v] = row[v ^ low] & avoid[c + low.bit_length() - 1]
-                chunks.append(row)
+                a0, a1, a2, a3 = avoid[c:c + 4]
+                chunks.append([ones, a0, a1, a01 := a0 & a1, a2, a02 := a0 & a2, a12 := a1 & a2, a012 := a01 & a2,
+                               a3, a0 & a3, a1 & a3, a01 & a3, a2 & a3, a02 & a3, a12 & a3, a012 & a3])
             self.keep.append(chunks)
             tail, tail_one = [ones], [0]
             for row in reversed(chunks):
@@ -230,22 +256,44 @@ class _CopyTable:
             self.tail.append(tail[::-1])
             self.tail_one.append(tail_one[::-1])
 
-    def copy_through(self, x: int, within: int) -> int:
-        """The highest copy through mask x inside the masks set in
-        ``within`` (which must contain x), as a bitset of masks; 0 when
-        there is none.  Every mask above the highest one in ``within`` is
-        outside it, so the chunks from ``top`` on are one ``tail`` lookup.
-        (In an ascending search a copy whose masks lie high stays inside
-        the live masks longest, so it makes the best watch.)"""
+    def _inside(self, x: int, within: int) -> int:
+        """The copies through mask x inside the masks set in ``within``
+        (which must contain x): bit i set iff ``through[x][i]`` is one.
+        Every mask above the highest one in ``within`` is outside it, so
+        the chunks from ``top`` on are one ``tail`` lookup."""
         top = (within.bit_length() + 3) >> 2
         alive = self.tail[x][top]
         out = self.full ^ within
-        for row in self.keep[x][:top]:
+        chunks = self.keep[x]
+        for row in chunks if top >= self.chunks else chunks[:top]:
             alive &= row[out & 15]
             if not alive:
                 return 0
             out >>= 4
-        return self.through[x][alive.bit_length() - 1]
+        return alive
+
+    def copy_through(self, x: int, within: int) -> int:
+        """The highest copy through mask x inside the masks set in
+        ``within`` (which must contain x), as a bitset of masks; 0 when
+        there is none.  (In an ascending search a copy whose masks lie high
+        stays inside the live masks longest, so it makes the best watch.)"""
+        alive = self._inside(x, within)
+        return self.through[x][alive.bit_length() - 1] if alive else 0
+
+    def small_copy_through(self, x: int, within: int, members: int, most: int) -> int:
+        """The highest copy through mask x inside ``within`` (as for
+        ``copy_through``) with at most ``most`` masks outside ``members``
+        and x (x must be outside ``members``), or 0: the copies inside
+        ``within``, scanned from the highest."""
+        alive = self._inside(x, within)
+        through = self.through[x]
+        while alive:
+            i = alive.bit_length() - 1
+            copy = through[i]
+            if (copy & ~members).bit_count() <= most + 1:
+                return copy
+            alive ^= 1 << i
+        return 0
 
     def blocked_by(self, c: int, members: int, among: int) -> int:
         """The masks of ``among``, outside ``members``, a free family that
@@ -263,7 +311,8 @@ class _CopyTable:
             top = ((members | among).bit_length() + 3) >> 2
             zero, one = self.tail[c][top], 0
         out = self.full ^ members
-        for chunk in self.keep[c][:top]:
+        chunks = self.keep[c]
+        for chunk in chunks if top >= self.chunks else chunks[:top]:
             v = out & 15
             z = chunk[v]
             fresh = zero & ~z
@@ -331,14 +380,17 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     Partial families are extended in ascending mask order and carried as
     one bitset of masks.  Before the first node, every induced forbidden
     copy in 2^[n] is listed once, on the ``InclusionRows`` of the cube (one
-    embedding per copy, from ``induced_copies``), and indexed by mask in a
-    copy table that answers two queries by a few ANDs of precomputed
-    bitsets over the copies: ``copy_through``, a copy through a mask inside
-    a set of masks, or none (the answer of ``has_pinned_copy`` on the rows
-    of the masks in the set), and ``blocked_by``, the masks that one member
-    blocks together with the others.  Building the table keeps the time
-    limit, and raises TooLarge as soon as the copies hold more than
-    ``SWEEP_CAP`` memberships (N at n = 7 and the diamond at n = 8 do).
+    image per copy, from the matcher's ``induced_copies`` plan), and indexed
+    by mask in a copy table that answers three queries by a few ANDs of
+    precomputed bitsets over the copies: ``copy_through``, a copy through a
+    mask inside a set of masks, or none (the answer of ``has_pinned_copy``
+    on the rows of the masks in the set), ``small_copy_through``, one of
+    those with few masks outside a given family, and ``blocked_by``, the
+    masks that one member blocks together with the others.  Building the
+    table keeps the time limit, and raises TooLarge as soon as the copies
+    hold more than ``SWEEP_CAP`` memberships (N at n = 7 and the diamond at
+    n = 8 do).  The cube's rows and lanes are built once per n (and
+    closure under duals) and shared by every search.
 
     Each node carries its blocked masks exactly: the members plus every
     mask lying in a copy with members only (adding it would complete that
@@ -374,6 +426,22 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     ``blocked_by(x, ...)`` of every such x, lowest x first, which stops as
     soon as none is left.
 
+    A node with 2 <= need < p - 1 members still to add (p the largest
+    forbidden size) then runs the need-aware lookahead.  Its leaves are
+    chosen | R with R a set of ``need`` live masks.  In a maximal leaf
+    every unblocked non-member x outside R is blocked by a copy through x
+    whose other masks lie in chosen | R: a copy inside the live masks plus
+    x with at most ``need`` masks outside the members and x, a small live
+    copy.  So a dead x (unblocked, below the cursor, never in R) with no
+    small live copy prunes the node, and a live x with none must be in R:
+    more than ``need`` such x prune the node, and otherwise the next
+    member, the lowest of R, lies at or below the lowest of them, so the
+    children above it go.  Again only subtrees with no maximal leaf go.
+    From need = p - 1 on every copy through x is small, and the dead-mask
+    lookahead asks the same of dead masks.  The query is
+    ``small_copy_through`` on the live masks plus x, and each mask keeps
+    its own watch for it, checked against the live masks and the count.
+
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
     Every result of a search carries its ``SearchStats``.  With the bounds
@@ -406,10 +474,15 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     total = 1 << n
     full = (1 << total) - 1
     table = None
-    # the targets of the copy through x found last; the initial bit lies
-    # outside the cube, so it is never live and the first test queries
+    # the targets of the copy through x found last, by each lookahead; the
+    # initial bit lies outside the cube, so it is never live and the first
+    # test queries
     watch = [1 << total] * total
-    nodes = leaves = symmetry_prunes = lookahead_prunes = queries = 0
+    small_watch = [1 << total] * total
+    # a copy has at most p - 1 masks besides x, so below need = p - 1 the
+    # need-aware lookahead asks more than the dead-mask one
+    p = max(P.size for P in forbidden)
+    nodes = leaves = symmetry_prunes = lookahead_prunes = queries = need_prunes = 0
     build_seconds = 0.0
 
     def dead_end(live: int, dead: int) -> bool:
@@ -434,7 +507,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
         above ``start`` extending ``chosen``, as a bitset of masks, or None;
         ``blocked`` is the members plus every mask the members below the
         highest one, start - 1, block."""
-        nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries
+        nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries, need_prunes
         _check_deadline(deadline)
         nodes += 1
         # every later member is live, and a mask below the cursor that is
@@ -457,6 +530,37 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
                     lookahead_prunes += 1
                     return None
         free = live & ~chosen & (1 << total - need + 1) - 1
+        if 2 <= need < p - 1:
+            # a leaf is chosen | R with R live and |R| = need, and blocks
+            # each unblocked x outside R by a copy whose other masks lie in
+            # chosen | R: a small live copy, with at most need masks
+            # outside chosen | x.  A dead x with none prunes the node; a
+            # live x with none is in R, so more than need of them prune
+            # it, and the next member is at or below the lowest of them
+            rest = full & ~blocked
+            must = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                within = live | low
+                copy = small_watch[x]
+                if copy & ~within or (copy & ~chosen).bit_count() > need + 1:
+                    _check_deadline(deadline)
+                    queries += 1
+                    copy = table.small_copy_through(x, within, chosen, need)
+                    if not copy:
+                        must |= low
+                        if not low & live or must.bit_count() > need:
+                            need_prunes += 1
+                            return None
+                        continue
+                    small_watch[x] = copy
+            if must:
+                cut = free & ((must & -must) << 1) - 1
+                if cut != free:
+                    need_prunes += 1
+                    free = cut
         if need == 1:
             # leaf chosen + m is maximal iff it blocks every other unblocked
             # mask x, iff m lies in a copy through x with members only
@@ -488,8 +592,10 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     # complementing every member maps a P-saturated family to a
     # dual(P)-saturated one: a symmetry when the list is closed under duals
     closed = all(any(isomorphic(dual(P), Q) for Q in forbidden) for P in forbidden)
-    # with no symmetry, lanes with no lane: every set is canonical
-    lanes = TranspositionLanes.build(n, complement=closed) if symmetry else TranspositionLanes((0,) * total, 0, 0)
+    cube, lanes = _cube(n, closed)
+    if not symmetry:
+        # lanes with no lane: every set is canonical
+        lanes = TranspositionLanes((0,) * total, 0, 0)
     # read once: a named tuple field costs more per read than a local
     image, ones = lanes.image, lanes.ones
     proven, proven_kind = bounds.lower_bound, bounds.lower_kind
@@ -498,12 +604,12 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     def stats() -> SearchStats:
         copies = table.copies if table is not None else 0
         return SearchStats(nodes, leaves, symmetry_prunes, lookahead_prunes, queries, tuple(levels),
-                           copies, build_seconds)
+                           copies, build_seconds, need_prunes)
 
     try:
         t0 = time.monotonic()
         try:
-            table = _CopyTable(forbidden, InclusionRows(range(total)), deadline)
+            table = _CopyTable(forbidden, cube, deadline)
         finally:
             build_seconds = time.monotonic() - t0
         for k in range(proven, upper):

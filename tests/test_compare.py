@@ -51,6 +51,31 @@ def test_frontier_medians_reject_contradicting_passes():
         compare.frontier_medians(passes)
 
 
+def made_up_pass(lower, upper, witness=(0, 1, 2)) -> list[dict]:
+    """One frontier pass with one task, the diamond at n = 5."""
+    return [{"poset": "diamond", "n": 5, "seconds": 1.0, "lower": lower, "upper": upper,
+             "exact": lower == upper, "witness": list(witness)}]
+
+
+def test_frontier_agreement_rejects_sides_whose_tightest_bounds_are_apart():
+    # each side is consistent on its own (6..7 and 8), but they share no value
+    parent = [made_up_pass(6, 7), made_up_pass(6, 9)]
+    change = [made_up_pass(8, 8), made_up_pass(7, 9)]
+    with pytest.raises(SystemExit, match="share no value"):
+        compare.frontier_agreement(parent, change)
+
+
+def test_frontier_agreement_flags_the_witnesses_of_exact_tasks():
+    parent = [made_up_pass(6, 6), made_up_pass(5, 6)]
+    (same,) = compare.frontier_agreement(parent, [made_up_pass(5, 6), made_up_pass(6, 6)])
+    assert same == {"poset": "diamond", "n": 5, "tightest": [6, 6], "same_witness": True}
+    (other,) = compare.frontier_agreement(parent, [made_up_pass(6, 6, (0, 1, 4)), made_up_pass(6, 6)])
+    assert other["same_witness"] is False
+    # one side never settles the task: no flag
+    (open_,) = compare.frontier_agreement(parent, [made_up_pass(5, 6), made_up_pass(5, 7)])
+    assert open_["tightest"] == [6, 6] and open_["same_witness"] is None
+
+
 def test_src_lines_counts_the_package_sources():
     want = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "posat").glob("*.py"))
     assert compare.src_lines(ROOT) == want > 0
@@ -65,7 +90,7 @@ def test_main_alternates_which_side_runs_first(monkeypatch, tmp_path):
 
     def fake_frontier(checkout):
         calls.append(("frontier", checkout.name))
-        return [{"poset": "fork", "n": 4, "lower": 5, "upper": 5, "seconds": 1.0}]
+        return [{"poset": "fork", "n": 4, "lower": 5, "upper": 5, "exact": True, "witness": [0], "seconds": 1.0}]
 
     monkeypatch.setattr(compare, "perfbench", fake_perfbench)
     monkeypatch.setattr(compare, "frontier", fake_frontier)
@@ -95,6 +120,7 @@ def test_frontier_stats_record_reads_both_kinds_of_record():
     values = (9, 4, 1, 2, 30, ((3, 0.25), (4, 0.5)), 77, 0.125)
     want = {"nodes": 9, "leaves": 4, "symmetry_prunes": 1, "lookahead_prunes": 2, "queries": 30,
             "level_seconds": [[3, 0.25], [4, 0.5]], "copies": 77, "build_seconds": 0.125}
-    for stats in (SearchStats(*values), DataclassStats(*values)):
-        assert json.loads(json.dumps(frontier.stats_record(stats))) == want
+    assert json.loads(json.dumps(frontier.stats_record(DataclassStats(*values)))) == want
+    # this checkout's record ends with need_prunes
+    assert json.loads(json.dumps(frontier.stats_record(SearchStats(*values, 3)))) == dict(want, need_prunes=3)
     assert frontier.stats_record(None) is None

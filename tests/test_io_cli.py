@@ -275,7 +275,7 @@ def test_cli_satstar_stats(capsys):
     assert out.startswith(plain)
     stats = dict(line.split("=", 1) for line in out[len(plain):].splitlines())
     assert list(stats) == ["nodes", "leaves", "symmetry_prunes", "lookahead_prunes", "queries",
-                           "level_seconds", "copies", "build_seconds"]
+                           "level_seconds", "copies", "build_seconds", "need_prunes"]
     assert int(stats["nodes"]) >= int(stats["leaves"]) > 0 and int(stats["copies"]) > 0
     # no search ran: no counters
     assert main(["satstar", "--n", "3", "--poset", "name=fork", "--stats"]) == 0

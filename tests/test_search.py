@@ -30,7 +30,7 @@ from posat import (
 from posat import search
 from posat.errors import BadN, BadParam, NoLegs, NotSaturated, TooLarge
 from posat.family import InclusionRows, SaturationReport
-from posat.poset import EmbeddingWitness, LegsWitness, has_pinned_copy
+from posat.poset import EmbeddingWitness, LegsWitness, has_pinned_copy, induced_copies
 from posat.search import SatStarResult, TranspositionLanes, _CopyTable, _deepen, certified_bounds
 
 from conftest import brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
@@ -263,6 +263,9 @@ def test_the_search_keeps_no_member_rows(monkeypatch):
     def pop(self):
         raise AssertionError("the search popped a member")
 
+    # the cube's rows are built once per (n, closed): clear them so this
+    # search builds its own
+    search._cube.cache_clear()
     monkeypatch.setattr(InclusionRows, "push", counting_push)
     monkeypatch.setattr(InclusionRows, "pop", pop)
     res = _deepen(4, [P], start_bounds=lambda n, forbidden: bounds)
@@ -371,6 +374,13 @@ def test_search_stats_count_the_work():
     assert pruned.symmetry_prunes > 0 and pruned.nodes < st.nodes
 
 
+def test_need_aware_lookahead_keeps_the_diamond_small_at_n6():
+    # 165,510 nodes without the need-aware lookahead
+    res = exact_sat_star(6, [catalog("diamond")])
+    assert res.exact and res.lower_bound == 7 and res.witness.members == (0, 1, 2, 4, 8, 16, 32)
+    assert res.stats.nodes <= 25_000 and res.stats.need_prunes > 0
+
+
 def test_antichain5_is_exact_at_n5():
     P = catalog("antichain", 5)
     res = exact_sat_star(5, [P])
@@ -388,6 +398,21 @@ def test_copy_table_counts_the_copies_of_the_diamond_at_n4():
     assert brute == 151
     st = exact_sat_star(4, [P]).stats
     assert st.copies == brute and st.build_seconds >= 0
+
+
+@pytest.mark.parametrize("n, names", [(3, None), (4, None), (5, ("diamond", "N"))])
+def test_copy_table_lists_the_copies_of_induced_copies(n, names):
+    # the table reads the matcher's images: through[x] lists, in ascending
+    # order, the copies through x that the mappings of induced_copies give
+    total = 1 << n
+    cube = InclusionRows(range(total))
+    posets = isomorphism_classes(catalog_small(5)) if names is None else [catalog(name) for name in names]
+    for P in posets:
+        want = [[] for _ in range(total)]
+        for w in induced_copies(P, cube.up, cube.down):
+            for x in w.mapping:
+                want[x].append(sum(1 << m for m in w.mapping))
+        assert _CopyTable([P], cube, None).through == [sorted(copies) for copies in want], P
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -602,14 +627,15 @@ def test_exact_value_is_self_dual():
 
 # -- plain records --------------------------------------------------------------
 
-# the fields and defaults each record had as a frozen dataclass
+# the fields and defaults each record had as a frozen dataclass, and
+# SearchStats' need_prunes, appended since
 PLAIN_RECORDS = [
     (LegsWitness, ("leg1", "leg2", "hip"), {}),
     (EmbeddingWitness, ("mapping",), {}),
     (SaturationReport, ("saturated", "forbidden_copy", "addable"), {"forbidden_copy": None, "addable": None}),
     (SearchConfig, ("time_limit",), {"time_limit": None}),
     (search.SearchStats, ("nodes", "leaves", "symmetry_prunes", "lookahead_prunes", "queries", "level_seconds",
-                          "copies", "build_seconds"), {}),
+                          "copies", "build_seconds", "need_prunes"), {}),
     (TranspositionLanes, ("image", "ones", "spare"), {}),
     (search.LegsCertificate, ("bound", "kind", "witness", "dual_witness"), {"dual_witness": None}),
     (search.PairCoverReport, ("hypothesis_holds", "failing_i", "bound"), {}),

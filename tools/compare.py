@@ -9,8 +9,10 @@ are kept with every run.  Then ``tools/frontier.py`` of this checkout runs
 each task keeps the record of its median-seconds pass with every
 pass's seconds and bounds and the tightest bounds over the passes, and the
 script fails when the bounds of a task's passes on one side contradict
-each other.  The report also gives each side's line count of
-``src/posat/*.py``.  One process runs at a time.
+each other, or when the two sides' tightest bounds share no value.  For a
+task that both sides settle exactly, ``frontier_agreement`` records
+whether they returned the same witness.  The report also gives each
+side's line count of ``src/posat/*.py``.  One process runs at a time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
 """
@@ -77,6 +79,28 @@ def frontier_medians(passes: list[list[dict]]) -> list[dict]:
     return table
 
 
+def frontier_agreement(parent: list[list[dict]], change: list[list[dict]]) -> list[dict]:
+    """One record per task from the frontier passes of both checkouts: the
+    task, ``tightest``, the bounds that both sides' tightest bounds allow,
+    and ``same_witness``, for a task that a pass of each side settles
+    exactly, true when every exact pass of both sides returned the same
+    witness (None otherwise).  Each side's tightest bounds contain the true
+    value, so the script fails when the two sides' share none."""
+    table = []
+    for records in zip(*parent, *change):
+        lower, upper = max(r["lower"] for r in records), min(r["upper"] for r in records)
+        task = f"{records[0]['poset']} at n = {records[0]['n']}"
+        if lower > upper:
+            raise SystemExit(f"frontier {task}: the parent's and the change's tightest bounds share no value")
+        exact = [r for r in records if r["exact"]]
+        same = None
+        if any(r["exact"] for r in records[:len(parent)]) and any(r["exact"] for r in records[len(parent):]):
+            same = all(r["witness"] == exact[0]["witness"] for r in exact)
+        table.append({"poset": records[0]["poset"], "n": records[0]["n"], "tightest": [lower, upper],
+                      "same_witness": same})
+    return table
+
+
 def in_turn(sides: dict, r: int) -> list:
     """The (side, checkout) pairs of run r in the order they run: the parent
     first on even runs and the change first on odd runs, so a drift within
@@ -136,6 +160,7 @@ def main(argv=None) -> None:
     try:
         for side in sides:
             report["frontier"][side] = frontier_medians(passes[side])
+        report["frontier_agreement"] = frontier_agreement(passes["parent"], passes["change"])
     finally:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
