@@ -48,16 +48,17 @@ class SearchConfig(NamedTuple):
 class SearchStats(NamedTuple):
     """The work of one exact search: the DFS nodes visited (the families
     of the target size tested for maximality included), those families
-    (leaves), the children the symmetry lanes pruned, the nodes the
-    dead-mask lookahead pruned (leaves rejected as not maximal included),
-    the copy-table queries (``copy_through`` calls of the dead-mask
-    lookahead, ``small_copy_through`` calls of the need-aware one and
-    ``blocked_by`` calls, one per child and one per mask a leaf test
-    reads), the seconds spent on each target size k searched, as
-    (k, seconds) pairs, the distinct forbidden copies in 2^[n] the copy
-    table indexes (0 when the time limit fell before it was built), the
-    seconds its build took, and the nodes the need-aware lookahead pruned
-    or cut the children of."""
+    (leaves), the children the symmetry lanes pruned, the nodes pruned by
+    the lookahead on the dead masks (at every node before ``blocked_by``,
+    and after it at need = 1 or need >= p - 1, p the largest forbidden
+    size; leaves rejected as not maximal included), the copy-table queries
+    (``small_copy_through`` calls of the lookahead and ``blocked_by``
+    calls, one per child and one per mask a leaf test reads), the seconds
+    spent on each target size k searched, as (k, seconds) pairs, the
+    distinct forbidden copies in 2^[n] the copy table indexes (0 when the
+    time limit fell before it was built), the seconds its build took, and
+    the nodes pruned, or whose children were cut, by the lookahead on
+    every unblocked mask after ``blocked_by`` at 2 <= need < p - 1."""
 
     nodes: int
     leaves: int
@@ -191,15 +192,14 @@ def _check_deadline(deadline: float | None) -> None:
 
 class _CopyTable:
     """Every induced copy of a forbidden poset among the masks of 2^[n], as
-    a bitset of masks, indexed for ``copy_through``, ``small_copy_through``
-    and ``blocked_by``: ``through[x]`` lists the copies containing mask x
-    in ascending order, and ``keep[x][c][v]`` has bit i set iff copy
-    ``through[x][i]`` avoids every mask 4c + b with bit b set in v (the
-    "four Russians" tables of Arlazarov et al., 1970), the 16 rows of a
-    chunk built from its four one-mask rows by 11 ANDs.  ``tail[x][c]`` is
-    the AND of rows 15 of the chunks from c on: the copies through x that
-    avoid every mask from 4c on; ``tail_one[x][c]`` has those with exactly
-    one mask from 4c on."""
+    a bitset of masks, indexed for ``small_copy_through`` and ``blocked_by``:
+    ``through[x]`` lists the copies containing mask x in ascending order,
+    and ``keep[x][c][v]`` has bit i set iff copy ``through[x][i]`` avoids
+    every mask 4c + b with bit b set in v (the "four Russians" tables of
+    Arlazarov et al., 1970), the 16 rows of a chunk built from its four
+    one-mask rows by 11 ANDs.  ``tail[x][c]`` is the AND of rows 15 of the
+    chunks from c on: the copies through x that avoid every mask from 4c
+    on; ``tail_one[x][c]`` has those with exactly one mask from 4c on."""
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
         """Enumerate the copies on the cube ``rows`` (the cached rows of
@@ -256,11 +256,15 @@ class _CopyTable:
             self.tail.append(tail[::-1])
             self.tail_one.append(tail_one[::-1])
 
-    def _inside(self, x: int, within: int) -> int:
-        """The copies through mask x inside the masks set in ``within``
-        (which must contain x): bit i set iff ``through[x][i]`` is one.
-        Every mask above the highest one in ``within`` is outside it, so
-        the chunks from ``top`` on are one ``tail`` lookup."""
+    def small_copy_through(self, x: int, within: int, members: int, most: int) -> int:
+        """The highest copy through mask x inside the masks set in
+        ``within`` (which must contain x) with at most ``most`` masks
+        outside ``members`` and x (x must be outside ``members``), as a
+        bitset of masks; 0 when there is none.  Every mask above the highest
+        one in ``within`` is outside it, so the chunks from ``top`` on are
+        one ``tail`` lookup; the copies left are scanned from the highest.
+        (In an ascending search a copy whose masks lie high stays inside the
+        live masks longest, so it makes the best watch.)"""
         top = (within.bit_length() + 3) >> 2
         alive = self.tail[x][top]
         out = self.full ^ within
@@ -270,22 +274,6 @@ class _CopyTable:
             if not alive:
                 return 0
             out >>= 4
-        return alive
-
-    def copy_through(self, x: int, within: int) -> int:
-        """The highest copy through mask x inside the masks set in
-        ``within`` (which must contain x), as a bitset of masks; 0 when
-        there is none.  (In an ascending search a copy whose masks lie high
-        stays inside the live masks longest, so it makes the best watch.)"""
-        alive = self._inside(x, within)
-        return self.through[x][alive.bit_length() - 1] if alive else 0
-
-    def small_copy_through(self, x: int, within: int, members: int, most: int) -> int:
-        """The highest copy through mask x inside ``within`` (as for
-        ``copy_through``) with at most ``most`` masks outside ``members``
-        and x (x must be outside ``members``), or 0: the copies inside
-        ``within``, scanned from the highest."""
-        alive = self._inside(x, within)
         through = self.through[x]
         while alive:
             i = alive.bit_length() - 1
@@ -342,23 +330,30 @@ class _CopyTable:
 _ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & a & b) for v in range(16) for a in range(16)]
 
 
+def _legs_certificate(n: int, forbidden: tuple[Poset, ...]) -> LegsCertificate | None:
+    """The legs certificate of the single forbidden poset P, else of dual(P)
+    (complementing every member turns a P-saturated family into a
+    dual(P)-saturated one; when both have legs either gives 2n + 2), at
+    n >= 3; None otherwise."""
+    if len(forbidden) != 1 or n < 3:
+        return None
+    return legs_lower_bound(forbidden[0], n) or legs_lower_bound(dual(forbidden[0]), n)
+
+
 def certified_bounds(n: int, forbidden) -> SatStarResult:
     """Bounds on the minimum saturated family size known without search.
-    Lower: the larger legs certificate of the single forbidden poset P and
-    of dual(P) (complementing every member turns a P-saturated family into
-    a dual(P)-saturated one), else 1, trivial.  Upper: the smallest, and
-    earliest on ties, of lex greedy, the X, Y and wedge constructions and
-    their complements that ``is_induced_saturated`` accepts.  Above
-    2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1) members) are left
-    out, and TooLarge is raised when no X or Y candidate is saturated."""
+    Lower: the legs certificate of the single forbidden poset P or of
+    dual(P) (``_legs_certificate``), else 1, trivial.  Upper: the
+    smallest, and earliest on ties, of lex greedy, the X, Y and wedge
+    constructions and their complements that ``is_induced_saturated``
+    accepts.  Above 2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1)
+    members) are left out, and TooLarge is raised when no X or Y candidate
+    is saturated."""
     if n < 0:
         raise BadN(f"ground-set size must be >= 0, got {n}")
     forbidden = check_forbidden(forbidden)
-    lower, lower_kind = 1, "trivial"
-    for P in (forbidden[0], dual(forbidden[0])) if len(forbidden) == 1 and n >= 3 else ():
-        cert = legs_lower_bound(P, n)
-        if cert is not None and cert.bound > lower:
-            lower, lower_kind = cert.bound, cert.kind
+    cert = _legs_certificate(n, forbidden)
+    lower, lower_kind = (cert.bound, cert.kind) if cert else (1, "trivial")
     swept = 1 << n <= SWEEP_CAP
     witness, upper_kind = (greedy_saturate(n, forbidden), "greedy") if swept else (None, None)
     named = [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
@@ -381,16 +376,16 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     one bitset of masks.  Before the first node, every induced forbidden
     copy in 2^[n] is listed once, on the ``InclusionRows`` of the cube (one
     image per copy, from the matcher's ``induced_copies`` plan), and indexed
-    by mask in a copy table that answers three queries by a few ANDs of
-    precomputed bitsets over the copies: ``copy_through``, a copy through a
-    mask inside a set of masks, or none (the answer of ``has_pinned_copy``
-    on the rows of the masks in the set), ``small_copy_through``, one of
-    those with few masks outside a given family, and ``blocked_by``, the
-    masks that one member blocks together with the others.  Building the
-    table keeps the time limit, and raises TooLarge as soon as the copies
-    hold more than ``SWEEP_CAP`` memberships (N at n = 7 and the diamond at
-    n = 8 do).  The cube's rows and lanes are built once per n (and
-    closure under duals) and shared by every search.
+    by mask in a copy table that answers two queries by a few ANDs of
+    precomputed bitsets over the copies: ``small_copy_through``, a copy
+    through a mask inside a set of masks with at most a given number of
+    masks outside a given family, or none (with no count limit, the answer
+    of ``has_pinned_copy`` on the rows of the masks in the set), and
+    ``blocked_by``, the masks that one member blocks together with the
+    others.  Building the table keeps the time limit, and raises TooLarge
+    as soon as the copies hold more than ``SWEEP_CAP`` memberships (N at
+    n = 7 and the diamond at n = 8 do).  The cube's rows and lanes are
+    built once per n (and closure under duals) and shared by every search.
 
     Each node carries its blocked masks exactly: the members plus every
     mask lying in a copy with members only (adding it would complete that
@@ -409,38 +404,32 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     maximal family, is no larger than its image, and so is every prefix
     of it.
 
-    Before its children a node runs the dead-mask lookahead.  Its live
-    masks are the members plus every unblocked mask at or above the cursor;
-    every later member is one of them.  An unblocked mask below the cursor
-    is never added below this node, so a maximal leaf must block it with
-    live members: the node is pruned when the table has no copy through
-    the mask within the live masks.  Only subtrees with no maximal leaf go,
-    so the witness and the bounds stay the same.  Each mask watches the
-    targets of the copy last found through it (the two-watched-literal
-    idea of Moskewicz et al., "Chaff", DAC 2001) and is queried again only
-    once a target is no longer live; a watch is never restored on
-    backtrack, as every use checks it against the live masks.  A node one
-    member short tests its leaves together: the family plus m is maximal
-    iff, for every other unblocked mask x, m lies in a copy through x with
-    members only, so the leaves left are the candidates in
-    ``blocked_by(x, ...)`` of every such x, lowest x first, which stops as
-    soon as none is left.
-
-    A node with 2 <= need < p - 1 members still to add (p the largest
-    forbidden size) then runs the need-aware lookahead.  Its leaves are
-    chosen | R with R a set of ``need`` live masks.  In a maximal leaf
-    every unblocked non-member x outside R is blocked by a copy through x
-    whose other masks lie in chosen | R: a copy inside the live masks plus
-    x with at most ``need`` masks outside the members and x, a small live
-    copy.  So a dead x (unblocked, below the cursor, never in R) with no
-    small live copy prunes the node, and a live x with none must be in R:
-    more than ``need`` such x prune the node, and otherwise the next
-    member, the lowest of R, lies at or below the lowest of them, so the
-    children above it go.  Again only subtrees with no maximal leaf go.
-    From need = p - 1 on every copy through x is small, and the dead-mask
-    lookahead asks the same of dead masks.  The query is
-    ``small_copy_through`` on the live masks plus x, and each mask keeps
-    its own watch for it, checked against the live masks and the count.
+    Before its children a node runs the lookahead.  Its live masks are
+    the members plus every unblocked mask at or above the cursor; its
+    leaves are chosen | R with R a set of ``need`` live masks.  In a
+    maximal leaf every unblocked non-member x outside R is blocked by a
+    copy through x whose other masks lie in chosen | R: a copy inside the
+    live masks plus x with at most ``need`` masks outside the members and
+    x, a small live copy (from need = p - 1 on, p the largest forbidden
+    size, every copy through x is small).  So a dead x (unblocked, below
+    the cursor, never in R) with no small live copy prunes the node, and a
+    live x with none must be in R: more than ``need`` such x prune the
+    node, and otherwise the next member, the lowest of R, lies at or below
+    the lowest of them, so the children above it go.  Only subtrees with no
+    maximal leaf go, so the witness and the bounds stay the same.  The dead
+    masks are tested before the node's own blocked masks are known, and
+    again after only when those remove a live mask; live masks are tested
+    only at 2 <= need < p - 1 (a node one member short asks for any copy).
+    The query is ``small_copy_through`` on the live masks plus x, and each
+    mask watches the targets of the copy last found through it (the
+    two-watched-literal idea of Moskewicz et al., "Chaff", DAC 2001): it is
+    queried again only once a target is no longer live or the copy has
+    more than the count allows outside the members.  A watch is never
+    restored on backtrack, as every use checks it.  A node one member
+    short tests its leaves together: the family plus m is maximal iff, for
+    every other unblocked mask x, m lies in a copy through x with members
+    only, so the leaves left are the candidates in ``blocked_by(x, ...)``
+    of every such x, lowest x first, which stops as soon as none is left.
 
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
@@ -464,6 +453,13 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
 
+    # with no legs certificate the lower bound is 1, and above the cap only
+    # lex greedy can meet it, when {∅} is saturated (every construction is
+    # larger): otherwise the bounds stay apart, known before greedy's scan
+    if n > SEARCH_CAP and _legs_certificate(n, forbidden) is None \
+            and not is_induced_saturated(SetFamily.of(n, [0]), forbidden).saturated:
+        raise TooLarge(f"no legs certificate and {{∅}} is not saturated: the bounds leave a search "
+                       f"at n = {n}, over the cap of {SEARCH_CAP}")
     bounds = start_bounds(n, forbidden)
     if bounds.exact:
         return bounds
@@ -474,33 +470,40 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     total = 1 << n
     full = (1 << total) - 1
     table = None
-    # the targets of the copy through x found last, by each lookahead; the
+    # the targets of the copy through x found last by the lookahead; the
     # initial bit lies outside the cube, so it is never live and the first
     # test queries
     watch = [1 << total] * total
-    small_watch = [1 << total] * total
-    # a copy has at most p - 1 masks besides x, so below need = p - 1 the
-    # need-aware lookahead asks more than the dead-mask one
+    # a copy has at most p - 1 masks besides x, so from need = p - 1 on
+    # every copy through x is small
     p = max(P.size for P in forbidden)
     nodes = leaves = symmetry_prunes = lookahead_prunes = queries = need_prunes = 0
     build_seconds = 0.0
 
-    def dead_end(live: int, dead: int) -> bool:
-        """True iff some mask of ``dead`` lies in no copy with live masks."""
+    def lookahead(live: int, masks: int, chosen: int, most: int) -> int | None:
+        """The live masks x of ``masks`` with no copy through x inside
+        ``live | x`` with at most ``most`` masks outside ``chosen`` and x
+        (must), or None when a dead mask has none or more than ``most``
+        masks have none."""
         nonlocal queries
-        while dead:
-            low = dead & -dead
-            dead ^= low
-            within = live | low
+        must = 0
+        while masks:
+            low = masks & -masks
+            masks ^= low
             x = low.bit_length() - 1
-            if watch[x] & ~within:
+            within = live | low
+            copy = watch[x]
+            if copy & ~within or (copy & ~chosen).bit_count() > most + 1:
                 _check_deadline(deadline)
                 queries += 1
-                copy = table.copy_through(x, within)
+                copy = table.small_copy_through(x, within, chosen, most)
                 if not copy:
-                    return True
+                    must |= low
+                    if not low & live or must.bit_count() > most:
+                        return None
+                    continue
                 watch[x] = copy
-        return False
+        return must
 
     def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
         """The lex-first maximal free family of ``need`` > 0 more members
@@ -510,57 +513,42 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
         nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries, need_prunes
         _check_deadline(deadline)
         nodes += 1
-        # every later member is live, and a mask below the cursor that is
-        # neither chosen nor blocked is never added, so a maximal leaf
-        # below blocks it with live members.  The masks the highest member
-        # blocks only shrink the live ones, so the test runs first without
-        # them (a prune then is a prune with them, and costs no blocked_by),
-        # and again only when they remove a live mask
+        # a maximal leaf blocks every unblocked non-member outside its last
+        # need members by a small live copy (see exact_sat_star).  The masks
+        # the highest member blocks only shrink the live ones, so the dead
+        # masks are tested first without them (a prune then is a prune with
+        # them, and costs no blocked_by), and again only when they remove a
+        # live mask; below need = p - 1 the second test takes every
+        # unblocked mask
         live = chosen | full >> start << start & ~blocked
-        if dead_end(live, full & ~blocked & ~live):
+        most = need if need >= 2 else p
+        if lookahead(live, full & ~blocked & ~live, chosen, most) is None:
             lookahead_prunes += 1
             return None
+        masks = 0
         if chosen:
             queries += 1
             fresh = table.blocked_by(start - 1, chosen, full & ~chosen) & ~blocked
             blocked |= fresh
             if fresh & live:
                 live &= ~fresh
-                if dead_end(live, full & ~blocked & ~live):
-                    lookahead_prunes += 1
-                    return None
+                masks = full & ~blocked & ~live
+        wide = 2 <= need < p - 1
+        if wide:
+            masks = full & ~blocked
+        must = lookahead(live, masks, chosen, most)
+        if must is None:
+            if wide:
+                need_prunes += 1
+            else:
+                lookahead_prunes += 1
+            return None
         free = live & ~chosen & (1 << total - need + 1) - 1
-        if 2 <= need < p - 1:
-            # a leaf is chosen | R with R live and |R| = need, and blocks
-            # each unblocked x outside R by a copy whose other masks lie in
-            # chosen | R: a small live copy, with at most need masks
-            # outside chosen | x.  A dead x with none prunes the node; a
-            # live x with none is in R, so more than need of them prune
-            # it, and the next member is at or below the lowest of them
-            rest = full & ~blocked
-            must = 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                x = low.bit_length() - 1
-                within = live | low
-                copy = small_watch[x]
-                if copy & ~within or (copy & ~chosen).bit_count() > need + 1:
-                    _check_deadline(deadline)
-                    queries += 1
-                    copy = table.small_copy_through(x, within, chosen, need)
-                    if not copy:
-                        must |= low
-                        if not low & live or must.bit_count() > need:
-                            need_prunes += 1
-                            return None
-                        continue
-                    small_watch[x] = copy
-            if must:
-                cut = free & ((must & -must) << 1) - 1
-                if cut != free:
-                    need_prunes += 1
-                    free = cut
+        if must:
+            cut = free & ((must & -must) << 1) - 1
+            if cut != free:
+                need_prunes += 1
+                free = cut
         if need == 1:
             # leaf chosen + m is maximal iff it blocks every other unblocked
             # mask x, iff m lies in a copy through x with members only

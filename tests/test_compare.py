@@ -68,12 +68,33 @@ def test_frontier_agreement_rejects_sides_whose_tightest_bounds_are_apart():
 def test_frontier_agreement_flags_the_witnesses_of_exact_tasks():
     parent = [made_up_pass(6, 6), made_up_pass(5, 6)]
     (same,) = compare.frontier_agreement(parent, [made_up_pass(5, 6), made_up_pass(6, 6)])
-    assert same == {"poset": "diamond", "n": 5, "tightest": [6, 6], "same_witness": True}
+    assert same == {"poset": "diamond", "n": 5, "tightest": [6, 6], "same_witness": True, "same_tree": None}
     (other,) = compare.frontier_agreement(parent, [made_up_pass(6, 6, (0, 1, 4)), made_up_pass(6, 6)])
     assert other["same_witness"] is False
     # one side never settles the task: no flag
     (open_,) = compare.frontier_agreement(parent, [made_up_pass(5, 6), made_up_pass(5, 7)])
     assert open_["tightest"] == [6, 6] and open_["same_witness"] is None
+
+
+def searched_pass(lower, upper, nodes, leaves=4, symmetry_prunes=1) -> list[dict]:
+    """``made_up_pass`` with the stats of a search."""
+    stats = {"nodes": nodes, "leaves": leaves, "symmetry_prunes": symmetry_prunes, "queries": nodes}
+    return [dict(made_up_pass(lower, upper)[0], stats=stats)]
+
+
+def test_frontier_agreement_flags_the_trees_of_searched_tasks():
+    parent = [searched_pass(6, 6, 9), searched_pass(5, 6, 7)]
+    (same,) = compare.frontier_agreement(parent, [searched_pass(6, 6, 9), made_up_pass(6, 6)])
+    assert same["same_witness"] is True and same["same_tree"] is True
+    # the queries may differ; the nodes, leaves or symmetry prunes may not
+    change = [[dict(searched_pass(6, 6, 9)[0], stats=dict(parent[0][0]["stats"], queries=3))]]
+    assert compare.frontier_agreement(parent[:1], change)[0]["same_tree"] is True
+    for tree in [(8, 4, 1), (9, 3, 1), (9, 4, 2)]:
+        (other,) = compare.frontier_agreement(parent, [searched_pass(6, 6, *tree), searched_pass(6, 6, 9)])
+        assert other["same_witness"] is True and other["same_tree"] is False, tree
+    # no exact pass with stats on one side (certified, or cut by the limit): no flag
+    (open_,) = compare.frontier_agreement(parent, [made_up_pass(6, 6), searched_pass(5, 6, 7)])
+    assert open_["same_witness"] is True and open_["same_tree"] is None
 
 
 def test_src_lines_counts_the_package_sources():

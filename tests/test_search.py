@@ -235,8 +235,8 @@ def test_symmetry_tables_are_capped_before_any_work():
     with pytest.raises(TooLarge):
         exact_sat_star(9, [catalog("diamond")], SearchConfig(time_limit=3))
     assert time.monotonic() - t0 < 0.1
-    # the certified bounds come first: at n = 12 lex greedy alone scans the
-    # 4096 masks (about 0.08 s) before the cap applies
+    # with no legs certificate and {∅} not saturated the bounds stay apart,
+    # so at n = 12 the cap applies before lex greedy scans the 4096 masks
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
         exact_sat_star(12, [catalog("diamond")], SearchConfig(time_limit=3))
@@ -246,6 +246,27 @@ def test_symmetry_tables_are_capped_before_any_work():
     with pytest.raises(TooLarge):
         _deepen(9, [catalog("diamond")], SearchConfig(time_limit=1e-9), certified_bounds, symmetry=False)
     assert time.monotonic() - t0 < 0.1
+
+
+def test_the_cap_applies_before_greedy(monkeypatch):
+    # lex greedy would scan the 2^20 masks for about 17 s first
+    def no_greedy(n, forbidden):
+        raise AssertionError("greedy ran")
+
+    monkeypatch.setattr(search, "greedy_saturate", no_greedy)
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        exact_sat_star(20, [catalog("diamond")])
+    assert time.monotonic() - t0 < 1
+    monkeypatch.undo()
+    # what greedy alone settles above the cap stays settled
+    res = exact_sat_star(9, [catalog("chain", 2)])
+    assert res.exact and res.lower_bound == res.upper_bound == 1 and res.upper_kind == "greedy"
+    for P in (catalog("fork"), catalog("wedge", 1)):
+        res = exact_sat_star(9, [P])
+        assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
+    with pytest.raises(TooLarge):
+        exact_sat_star(9, [catalog("diamond")])
 
 
 def test_the_search_keeps_no_member_rows(monkeypatch):
@@ -374,11 +395,21 @@ def test_search_stats_count_the_work():
     assert pruned.symmetry_prunes > 0 and pruned.nodes < st.nodes
 
 
-def test_need_aware_lookahead_keeps_the_diamond_small_at_n6():
-    # 165,510 nodes without the need-aware lookahead
-    res = exact_sat_star(6, [catalog("diamond")])
-    assert res.exact and res.lower_bound == 7 and res.witness.members == (0, 1, 2, 4, 8, 16, 32)
-    assert res.stats.nodes <= 25_000 and res.stats.need_prunes > 0
+@pytest.mark.parametrize("name, n, tree, witness", [
+    ("diamond", 6, (20_966, 17_330, 9_773), (0, 1, 2, 4, 8, 16, 32)),
+    ("diamond", 5, (1_116, 885, 735), (0, 1, 2, 4, 8, 16)),
+    ("Yinv", 5, (1_839, 1_509, 487), (0, 1, 2, 4, 8, 16, 31)),
+    ("N", 4, (594, 336, 298), (0, 1, 2, 3, 4, 7, 8, 15)),
+], ids=["diamond-6", "diamond-5", "Yinv-5", "N-4"])
+def test_the_search_tree_is_pinned(name, n, tree, witness):
+    # the tree a search walks: its nodes, leaves and symmetry prunes; a
+    # change to the lookahead or the blocked sets that keeps the tree keeps
+    # these (165,510 nodes for the diamond at n = 6 without the need-aware
+    # lookahead), while the prunes it counts and its queries may move
+    res = exact_sat_star(n, [catalog(name)])
+    st = res.stats
+    assert res.exact and res.witness.members == witness
+    assert (st.nodes, st.leaves, st.symmetry_prunes) == tree
 
 
 def test_antichain5_is_exact_at_n5():
@@ -429,6 +460,7 @@ def test_copy_table_agrees_with_the_pinned_query(n):
     lists.append([catalog("chain", 3), catalog("antichain", 3)])
     for forbidden in lists:
         table = _CopyTable(forbidden, cube, None)
+        p = max(P.size for P in forbidden)  # every copy counts
         for x in range(total):
             # the whole cube, then dense and sparse draws
             draws = [(1 << total) - 1]
@@ -438,7 +470,7 @@ def test_copy_table_agrees_with_the_pinned_query(n):
                 within |= 1 << x
                 inside = [m for m in range(total) if within >> m & 1]
                 rows = InclusionRows(inside)
-                copy = table.copy_through(x, within)
+                copy = table.small_copy_through(x, within, 0, p)
                 assert bool(copy) == has_pinned_copy(forbidden, rows.up, rows.down, inside.index(x)), (forbidden, x)
                 if copy:
                     assert copy & ~within == 0 and copy >> x & 1
@@ -539,6 +571,14 @@ def test_certified_bounds_need_one_forbidden_poset_for_legs():
     bounds = certified_bounds(4, [catalog("X"), catalog("chain", 5)])
     assert (bounds.lower_bound, bounds.lower_kind) == (1, "trivial")
     assert bounds.upper_bound >= exact_sat_star(4, [catalog("X"), catalog("chain", 5)]).lower_bound
+
+
+def test_certified_bounds_take_the_legs_of_p_or_of_its_dual():
+    # legs on both sides (X), on P only (Yinv), on dual(P) only (Y), on neither (diamond)
+    for name, want in [("X", (22, "double_legs")), ("Yinv", (11, "legs")), ("Y", (11, "legs")),
+                       ("diamond", (1, "trivial"))]:
+        bounds = certified_bounds(10, [catalog(name)])
+        assert (bounds.lower_bound, bounds.lower_kind) == want, name
 
 
 # -- certificates -------------------------------------------------------------

@@ -11,7 +11,9 @@ pass's seconds and bounds and the tightest bounds over the passes, and the
 script fails when the bounds of a task's passes on one side contradict
 each other, or when the two sides' tightest bounds share no value.  For a
 task that both sides settle exactly, ``frontier_agreement`` records
-whether they returned the same witness.  The report also gives each
+whether they returned the same witness, and, when both settle it by a
+search, whether every such search walked the same tree (the same nodes,
+leaves and symmetry prunes in its stats).  The report also gives each
 side's line count of ``src/posat/*.py``.  One process runs at a time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
@@ -82,23 +84,38 @@ def frontier_medians(passes: list[list[dict]]) -> list[dict]:
 def frontier_agreement(parent: list[list[dict]], change: list[list[dict]]) -> list[dict]:
     """One record per task from the frontier passes of both checkouts: the
     task, ``tightest``, the bounds that both sides' tightest bounds allow,
-    and ``same_witness``, for a task that a pass of each side settles
-    exactly, true when every exact pass of both sides returned the same
-    witness (None otherwise).  Each side's tightest bounds contain the true
-    value, so the script fails when the two sides' share none."""
+    ``same_witness``, for a task that a pass of each side settles exactly,
+    true when every exact pass of both sides returned the same witness
+    (None otherwise), and ``same_tree``, for a task that a pass of each
+    side settles exactly by a search, true when every such pass walked the
+    same tree: the same nodes, leaves and symmetry prunes (None
+    otherwise).  Each side's tightest bounds contain the true value, so
+    the script fails when the two sides' share none."""
     table = []
     for records in zip(*parent, *change):
         lower, upper = max(r["lower"] for r in records), min(r["upper"] for r in records)
         task = f"{records[0]['poset']} at n = {records[0]['n']}"
         if lower > upper:
             raise SystemExit(f"frontier {task}: the parent's and the change's tightest bounds share no value")
+        sides = records[:len(parent)], records[len(parent):]
         exact = [r for r in records if r["exact"]]
         same = None
-        if any(r["exact"] for r in records[:len(parent)]) and any(r["exact"] for r in records[len(parent):]):
+        if all(any(r["exact"] for r in side) for side in sides):
             same = all(r["witness"] == exact[0]["witness"] for r in exact)
+        searched = [tree(r) for r in exact if r.get("stats")]
+        same_tree = None
+        if all(any(r["exact"] and r.get("stats") for r in side) for side in sides):
+            same_tree = all(t == searched[0] for t in searched)
         table.append({"poset": records[0]["poset"], "n": records[0]["n"], "tightest": [lower, upper],
-                      "same_witness": same})
+                      "same_witness": same, "same_tree": same_tree})
     return table
+
+
+def tree(record: dict) -> tuple[int, int, int]:
+    """The search tree a frontier record's stats describe: its nodes,
+    leaves and symmetry prunes."""
+    stats = record["stats"]
+    return stats["nodes"], stats["leaves"], stats["symmetry_prunes"]
 
 
 def in_turn(sides: dict, r: int) -> list:
