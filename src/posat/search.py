@@ -192,14 +192,15 @@ def _check_deadline(deadline: float | None) -> None:
 
 class _CopyTable:
     """Every induced copy of a forbidden poset among the masks of 2^[n], as
-    a bitset of masks, indexed for ``small_copy_through`` and ``blocked_by``:
-    ``through[x]`` lists the copies containing mask x in ascending order,
-    and ``keep[x][c][v]`` has bit i set iff copy ``through[x][i]`` avoids
-    every mask 4c + b with bit b set in v (the "four Russians" tables of
-    Arlazarov et al., 1970), the 16 rows of a chunk built from its four
-    one-mask rows by 11 ANDs.  ``tail[x][c]`` is the AND of rows 15 of the
-    chunks from c on: the copies through x that avoid every mask from 4c
-    on; ``tail_one[x][c]`` has those with exactly one mask from 4c on."""
+    a bitset of masks, indexed for ``small_copy_through`` and
+    ``blocked_by``: ``through[x]`` lists the copies containing mask x
+    in ascending order, and ``keep[x][c][v]`` has bit i set iff copy
+    ``through[x][i]`` avoids every mask 4c + b with bit b set in v (the
+    "four Russians" tables of Arlazarov et al., 1970), the 16 rows of a
+    chunk built from its four one-mask rows by 11 ANDs.  ``tail[x][c]`` is
+    the AND of rows 15 of the chunks from c on: the copies through x that
+    avoid every mask from 4c on; ``tail_one[x][c]`` has those with exactly
+    one mask from 4c on."""
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
         """Enumerate the copies on the cube ``rows`` (the cached rows of
@@ -456,8 +457,8 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
     # with no legs certificate the lower bound is 1, and above the cap only
     # lex greedy can meet it, when {∅} is saturated (every construction is
     # larger): otherwise the bounds stay apart, known before greedy's scan
-    if n > SEARCH_CAP and _legs_certificate(n, forbidden) is None \
-            and not is_induced_saturated(SetFamily.of(n, [0]), forbidden).saturated:
+    if (n > SEARCH_CAP and _legs_certificate(n, forbidden) is None
+            and not is_induced_saturated(SetFamily.of(n, [0]), forbidden).saturated):
         raise TooLarge(f"no legs certificate and {{∅}} is not saturated: the bounds leave a search "
                        f"at n = {n}, over the cap of {SEARCH_CAP}")
     bounds = start_bounds(n, forbidden)

@@ -402,8 +402,7 @@ def test_search_stats_count_the_work():
 def test_the_search_tree_is_pinned(name, n, tree, witness):
     # the tree a search walks: its nodes, leaves and symmetry prunes; a
     # change to the lookahead or the blocked sets that keeps the tree keeps
-    # these (165,510 nodes for the diamond at n = 6 without the need-aware
-    # lookahead), while the prunes it counts and its queries may move
+    # these, while the prunes it counts and its queries may move
     res = exact_sat_star(n, [catalog(name)])
     st = res.stats
     assert res.exact and res.witness.members == witness

@@ -102,20 +102,14 @@ def frontier_agreement(parent: list[list[dict]], change: list[list[dict]]) -> li
         same = None
         if all(any(r["exact"] for r in side) for side in sides):
             same = all(r["witness"] == exact[0]["witness"] for r in exact)
-        searched = [tree(r) for r in exact if r.get("stats")]
+        searched = [(r["stats"]["nodes"], r["stats"]["leaves"], r["stats"]["symmetry_prunes"])
+                    for r in exact if r.get("stats")]
         same_tree = None
         if all(any(r["exact"] and r.get("stats") for r in side) for side in sides):
             same_tree = all(t == searched[0] for t in searched)
         table.append({"poset": records[0]["poset"], "n": records[0]["n"], "tightest": [lower, upper],
                       "same_witness": same, "same_tree": same_tree})
     return table
-
-
-def tree(record: dict) -> tuple[int, int, int]:
-    """The search tree a frontier record's stats describe: its nodes,
-    leaves and symmetry prunes."""
-    stats = record["stats"]
-    return stats["nodes"], stats["leaves"], stats["symmetry_prunes"]
 
 
 def in_turn(sides: dict, r: int) -> list:
