@@ -63,15 +63,20 @@ def format_poset(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_dot(P: Poset) -> str:
-    """DOT of the Hasse diagram, edges drawn from lower to higher element."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for a in range(P.size):
-        lines.append(f'  v{a + 1} [label="{a + 1}"];')
-    for a, b in sorted(P.cover_pairs()):
-        lines.append(f"  v{a + 1} -> v{b + 1};")
+def _dot(name: str, labels, edges, upward: bool, first: int = 1) -> str:
+    """DOT of the graph ``name``: node i is ``v{first + i}`` labelled
+    ``labels[i]``, one edge a -> b per pair of ``edges``, drawn from the
+    bottom up when ``upward``."""
+    lines = [f"digraph {name} {{"] + ["  rankdir=BT;"] * upward
+    lines += [f'  v{first + i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  v{first + a} -> v{first + b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def poset_dot(P: Poset) -> str:
+    """DOT of the Hasse diagram, edges drawn from lower to higher element."""
+    return _dot("hasse", range(1, P.size + 1), sorted(P.cover_pairs()), upward=True)
 
 
 # -- family ------------------------------------------------------------------
@@ -135,13 +140,7 @@ def family_dot(F: SetFamily) -> str:
     from .family import inclusion_poset
 
     P, members = inclusion_poset(F)
-    lines = ["digraph family {", "  rankdir=BT;"]
-    for j, m in enumerate(members):
-        lines.append(f'  v{j} [label="{format_member(m)}"];')
-    for a, b in sorted(P.cover_pairs()):
-        lines.append(f"  v{a} -> v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("family", map(format_member, members), sorted(P.cover_pairs()), upward=True, first=0)
 
 
 # -- digraph -----------------------------------------------------------------
@@ -194,13 +193,7 @@ def format_digraph(D: Digraph) -> str:
 
 
 def digraph_dot(D: Digraph) -> str:
-    lines = ["digraph d {"]
-    for v in range(D.vertex_count):
-        lines.append(f'  v{v + 1} [label="{v + 1}"];')
-    for u, v in D.sorted_edges():
-        lines.append(f"  v{u + 1} -> v{v + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("d", range(1, D.vertex_count + 1), D.sorted_edges(), upward=False)
 
 
 # -- results -----------------------------------------------------------------

@@ -55,11 +55,7 @@ class Poset:
 
     def down_masks(self) -> tuple[int, ...]:
         """down[b] has bit a set iff a < b."""
-        down = [0] * self.size
-        for a, row in enumerate(self.up):
-            for b in _bits(row):
-                down[b] |= 1 << a
-        return tuple(down)
+        return _down_rows(self.up)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """The Hasse diagram: pairs (a, b) with a < b and nothing in between."""
@@ -103,6 +99,16 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _down_rows(up) -> tuple[int, ...]:
+    """The rows of the reversed relation: bit a of row b is bit b of
+    ``up[a]``."""
+    down = [0] * len(up)
+    for a, row in enumerate(up):
+        for b in _bits(row):
+            down[b] |= 1 << a
+    return tuple(down)
 
 
 def from_cover_relations(p: int, covers: list[tuple[int, int]], name: str | None = None) -> Poset:
@@ -249,7 +255,7 @@ def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()):
     lie below its target: a pair (a, b) in ``less``, with a placed before
     b, puts the target of a below the target of b."""
     p = len(up)
-    down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
+    down = _down_rows(up)
     rel = [up[a] | down[a] for a in range(p)]
     order = [] if first is None else [first]
     placed = sum(1 << a for a in order)
@@ -294,10 +300,8 @@ def _mapping(order, image) -> tuple[int, ...]:
 def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of the poset with relation rows ``up``: its induced
     copies in itself, as mappings."""
-    p = len(up)
-    down = [sum(1 << b for b in range(p) if up[b] >> a & 1) for a in range(p)]
     plan = _plan(up, None)
-    return tuple(_mapping(plan[0], image) for image in _match(plan, up, down, (1 << p) - 1))
+    return tuple(_mapping(plan[0], image) for image in _match(plan, up, _down_rows(up), (1 << len(up)) - 1))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -284,21 +284,16 @@ class _CopyTable:
             alive ^= 1 << i
         return 0
 
-    def blocked_by(self, c: int, members: int, among: int) -> int:
-        """The masks of ``among``, outside ``members``, a free family that
-        contains c, each lying in a copy through c whose other masks are
-        all members, as a bitset: the outside masks of the copies through c
-        with exactly one outside mask, which is in ``among``.  Every mask
-        above the highest one in ``members | among`` is outside it, so the
-        chunks from ``top`` on are one ``tail`` lookup; each chunk below
-        moves a copy from no outside mask to one when it has one outside
-        mask there and that mask is in ``among``, and drops the others."""
+    def blocked_by(self, c: int, members: int) -> int:
+        """The masks outside ``members``, a free family, each lying in a
+        copy through c whose other masks are all members (c must be a
+        member), as a bitset: the outside masks of the copies through c
+        with exactly one outside mask.  Every mask above the highest member is outside,
+        so the chunks from ``top`` on are one ``tail`` and ``tail_one``
+        lookup; each chunk below moves a copy from no outside mask to one
+        when it has one outside mask there, and drops the others."""
         top = (members.bit_length() + 3) >> 2
-        if among >> 4 * top == self.full >> 4 * top:
-            zero, one = self.tail[c][top], self.tail_one[c][top]
-        else:
-            top = ((members | among).bit_length() + 3) >> 2
-            zero, one = self.tail[c][top], 0
+        zero, one = self.tail[c][top], self.tail_one[c][top]
         out = self.full ^ members
         chunks = self.keep[c]
         for chunk in chunks if top >= self.chunks else chunks[:top]:
@@ -307,7 +302,7 @@ class _CopyTable:
             fresh = zero & ~z
             if fresh:
                 single = 0
-                for w in _ALL_BUT_ONE[v & among & 15 | v << 4]:
+                for w in _ALL_BUT_ONE[v]:
                     single |= chunk[w]
                 one = one & z | fresh & single
                 zero ^= fresh
@@ -316,7 +311,6 @@ class _CopyTable:
             else:
                 one &= z
             out >>= 4
-            among >>= 4
         blocked = 0
         through = self.through[c]
         while one:
@@ -326,9 +320,10 @@ class _CopyTable:
         return blocked & ~members
 
 
-# per outside pattern v and pattern a inside it, at index v << 4 | a: the
-# patterns v with one set bit of a cleared
-_ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & a & b) for v in range(16) for a in range(16)]
+# per outside pattern v of a chunk: the patterns with one of its set bits
+# cleared, whose rows together hold the copies with at most one outside
+# mask there
+_ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & b) for v in range(16)]
 
 
 def _legs_certificate(n: int, forbidden: tuple[Poset, ...]) -> LegsCertificate | None:
@@ -429,8 +424,10 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     restored on backtrack, as every use checks it.  A node one member
     short tests its leaves together: the family plus m is maximal iff, for
     every other unblocked mask x, m lies in a copy through x with members
-    only, so the leaves left are the candidates in ``blocked_by(x, ...)``
-    of every such x, lowest x first, which stops as soon as none is left.
+    only, so the leaves left are the candidates intersected with
+    ``blocked_by(x, chosen | x)`` for every such x (the intersection is
+    what restricts the answer to the candidates), lowest x first, which
+    stops as soon as none is left.
 
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
@@ -529,7 +526,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
         masks = 0
         if chosen:
             queries += 1
-            fresh = table.blocked_by(start - 1, chosen, full & ~chosen) & ~blocked
+            fresh = table.blocked_by(start - 1, chosen) & ~blocked
             blocked |= fresh
             if fresh & live:
                 live &= ~fresh
@@ -561,7 +558,7 @@ def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetr
                 x = rest & -rest
                 rest ^= x
                 queries += 1
-                free &= table.blocked_by(x.bit_length() - 1, chosen | x, free & ~x) | x
+                free &= table.blocked_by(x.bit_length() - 1, chosen | x) | x
             lookahead_prunes += tested - free.bit_count()
         while free:
             low = free & -free

@@ -240,6 +240,15 @@ def test_dot_outputs_are_wellformed():
     assert "v1 -> v2" in digraph_dot(Digraph.of(2, [(0, 1)]))
 
 
+def test_dot_outputs_keep_their_exact_text():
+    assert poset_dot(catalog("diamond")) == (
+        'digraph hasse {\n  rankdir=BT;\n  v1 [label="1"];\n  v2 [label="2"];\n  v3 [label="3"];\n'
+        '  v4 [label="4"];\n  v1 -> v2;\n  v1 -> v3;\n  v2 -> v4;\n  v3 -> v4;\n}\n')
+    assert family_dot(SetFamily.of(2, [0b01, 0b11])) == (
+        'digraph family {\n  rankdir=BT;\n  v0 [label="{1}"];\n  v1 [label="{1,2}"];\n  v0 -> v1;\n}\n')
+    assert digraph_dot(Digraph.of(2, [(0, 1)])) == 'digraph d {\n  v1 [label="1"];\n  v2 [label="2"];\n  v1 -> v2;\n}\n'
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def write(tmp_path, name, text):
