@@ -288,10 +288,12 @@ class _CopyTable:
         """The masks outside ``members``, a free family, each lying in a
         copy through c whose other masks are all members (c must be a
         member), as a bitset: the outside masks of the copies through c
-        with exactly one outside mask.  Every mask above the highest member is outside,
-        so the chunks from ``top`` on are one ``tail`` and ``tail_one``
-        lookup; each chunk below moves a copy from no outside mask to one
-        when it has one outside mask there, and drops the others."""
+        with exactly one outside mask.  Every mask above the highest member
+        is outside, so the chunks from ``top`` on are one ``tail`` and
+        ``tail_one`` lookup; each chunk below moves a copy from no outside
+        mask to one when it has one outside mask there, and drops the
+        others.  The copies left are read one outside mask at a time, the
+        one of the highest copy, which drops every copy through it."""
         top = (members.bit_length() + 3) >> 2
         zero, one = self.tail[c][top], self.tail_one[c][top]
         out = self.full ^ members
@@ -314,10 +316,10 @@ class _CopyTable:
         blocked = 0
         through = self.through[c]
         while one:
-            low = one & -one
-            one ^= low
-            blocked |= through[low.bit_length() - 1]
-        return blocked & ~members
+            m = (through[one.bit_length() - 1] & ~members).bit_length() - 1
+            blocked |= 1 << m
+            one &= chunks[m >> 2][1 << (m & 3)]
+        return blocked
 
 
 # per outside pattern v of a chunk: the patterns with one of its set bits
