@@ -245,8 +245,34 @@ def has_legs(P: Poset) -> LegsWitness | None:
 
 # -- induced embedding: the one matcher -------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A placement plan: the elements in placement order, and per step the
+    earlier steps the element lies below, lies above and is incomparable
+    to, its up- and down-degree, and the earlier steps whose targets must
+    lie below its target (see ``_plan``).  Its two kernels are the matcher:
+    each is compiled on first use and kept with the plan (``_kernel``)."""
+
+    order: tuple[int, ...]
+    steps: tuple
+
+    @functools.cached_property
+    def copies(self):
+        """``copies(up, down, first)`` yields each embedding as a pair: the
+        bitset of its targets, and its targets in placement order
+        (``image[s]`` is the target of element ``order[s]``), one list
+        overwritten as the search goes on, so a caller reads it before the
+        next pair (``_mapping`` turns it into a mapping)."""
+        return _kernel(self, "copies")
+
+    @functools.cached_property
+    def exists(self):
+        """``exists(up, down, first)`` is True iff ``copies`` yields a pair."""
+        return _kernel(self, "exists")
+
+
 @functools.lru_cache(maxsize=1024)
-def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()):
+def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()) -> _Plan:
     """For the poset with relation rows ``up``: its elements in placement
     order (``first``, if given, then most relations to the elements already
     placed, then most relations, then lowest index), and per step the
@@ -271,7 +297,99 @@ def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()):
         apart = tuple(s for s in range(t) if not rel[a] >> order[s] & 1)
         after = tuple(s for s in range(t) if (order[s], a) in less)
         steps.append((below, above, apart, up[a].bit_count(), down[a].bit_count(), after))
-    return tuple(order), tuple(steps)
+    return _Plan(tuple(order), tuple(steps))
+
+
+# CPython compiles at most 20 statically nested blocks, one per loop of a
+# kernel: a longer plan goes on in a second function, and so on
+_NESTED = 20
+
+
+def _kernel_source(plan: _Plan, leaf: str) -> str:
+    """The source of the plan's kernel ``leaf``, ``copies`` or ``exists``
+    (see ``_Plan``): a function ``kernel(up, down, first)`` of the rows
+    ``up[j]`` / ``down[j]`` of the targets (bit i set iff target i lies
+    strictly above / below target j) and of the candidates ``first`` of
+    the first step.
+
+    Step t is one ``while c<t>:`` loop over its candidates, lowest first,
+    nested in the loop of step t - 1; ``b<t>``, ``j<t>``, ``u<t>`` and
+    ``d<t>`` are the bit, index, up row and down row of its target.  The
+    candidates of step t are the AND of ``d<s>`` for each earlier step s
+    it lies below, ``u<s>`` for each it lies above, ``~(u<s> | d<s> |
+    b<s>)`` over those it is incomparable to (``b<s>`` left out where an
+    order constraint drops target s) and ``-2 << j<s>`` for each s whose
+    target must lie below its own, so every target already used is left
+    out; the degree tests appear only where a degree is nonzero.  The
+    source interpolates only the plan's ints.  To read one:
+
+        print(_kernel_source(_copy_plan(catalog("diamond").up), "copies"))
+    """
+    steps = plan.steps
+    p = len(steps)
+    # the steps whose rows, or whose index, later steps read
+    ups = {s for _, above, apart, *_ in steps for s in above + apart}
+    downs = {s for below, _, apart, *_ in steps for s in below + apart}
+    afters = {s for *_, after in steps for s in after}
+    extra = "every, image" if leaf == "copies" else "every"
+    later = []
+
+    def names(t: int) -> list[str]:
+        """The variables of step t that the code after its candidate reads."""
+        rows = [f"u{t}"] * (t in ups or steps[t][3] > 0) + [f"d{t}"] * (t in downs or steps[t][4] > 0)
+        return [f"b{t}"] + [f"j{t}"] * bool(rows or leaf == "copies" or t in afters) + rows
+
+    def candidates(t: int) -> str:
+        below, above, apart, _, _, after = steps[t]
+        terms = [f"d{s}" for s in below] + [f"u{s}" for s in above] or ["every"]
+        if apart:
+            terms.append("~(" + " | ".join(f"u{s} | d{s}" + (f" | b{s}" if s not in after else "")
+                                         for s in apart) + ")")
+        return " & ".join(terms + [f"(-2 << j{s})" for s in after])
+
+    def loop(t: int, pad: str) -> list[str]:
+        """The loop of step t, with the steps after it nested inside."""
+        degree = [f"{row}{t}.bit_count() < {k}" for row, k in (("u", steps[t][3]), ("d", steps[t][4])) if k]
+        if t == p - 1 and leaf == "exists" and not degree:
+            return [f"{pad}if c{t}:", f"{pad}    return True"]
+        lines = [f"{pad}while c{t}:", f"{pad}    b{t} = c{t} & -c{t}", f"{pad}    c{t} ^= b{t}"]
+        pad += "    "
+        fetch = {"j": f"b{t}.bit_length() - 1", "u": f"up[j{t}]", "d": f"down[j{t}]"}
+        lines += [f"{pad}{v} = {fetch[v[0]]}" for v in names(t)[1:]]
+        if degree:
+            lines += [f"{pad}if {' or '.join(degree)}:", f"{pad}    continue"]
+        if leaf == "copies":
+            lines.append(f"{pad}image[{t}] = j{t}")
+        if t == p - 1:
+            lines.append(pad + end)
+        elif (t + 1) % _NESTED:
+            lines += [f"{pad}c{t + 1} = {candidates(t + 1)}"] + loop(t + 1, pad)
+        else:
+            # the steps from t + 1 on, in a function of their own
+            params = ", ".join(v for s in range(t + 1) for v in names(s))
+            call = f"kernel{t + 1}(up, down, {extra}, {params})"
+            lines += [f"{pad}if {call}:", f"{pad}    return True"] if leaf == "exists" else [f"{pad}yield from {call}"]
+            later.append([f"def kernel{t + 1}(up, down, {extra}, {params}):",
+                          f"    c{t + 1} = {candidates(t + 1)}"] + loop(t + 1, "    ") + tail)
+        return lines
+
+    end = "return True" if leaf == "exists" else f"yield {' | '.join(f'b{t}' for t in range(p)) or 0}, image"
+    tail = ["    return False"] if leaf == "exists" else []
+    lines = ["    c0 = first"] + loop(0, "    ") + tail if p else ["    " + end]
+    head = ["def kernel(up, down, first):"]
+    if any("every" in line for line in lines):
+        head.append("    every = (1 << len(up)) - 1")
+    if leaf == "copies":
+        head.append(f"    image = [0] * {p}")
+    return "\n".join(head + lines + [line for function in later for line in function]) + "\n"
+
+
+def _kernel(plan: _Plan, leaf: str):
+    """The plan's kernel ``leaf``, compiled from ``_kernel_source`` into a
+    fresh namespace."""
+    namespace = {}
+    exec(compile(_kernel_source(plan, leaf), f"<kernel {leaf}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def induced_copies(P: Poset, up, down):
@@ -283,8 +401,8 @@ def induced_copies(P: Poset, up, down):
     """
     if P.size <= len(up):
         plan = _copy_plan(P.up)
-        for image in _match(plan, up, down, (1 << len(up)) - 1):
-            yield EmbeddingWitness(_mapping(plan[0], image))
+        for _, image in plan.copies(up, down, (1 << len(up)) - 1):
+            yield EmbeddingWitness(_mapping(plan.order, image))
 
 
 def _mapping(order, image) -> tuple[int, ...]:
@@ -301,11 +419,11 @@ def _automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of the poset with relation rows ``up``: its induced
     copies in itself, as mappings."""
     plan = _plan(up, None)
-    return tuple(_mapping(plan[0], image) for image in _match(plan, up, _down_rows(up), (1 << len(up)) - 1))
+    return tuple(_mapping(plan.order, image) for _, image in plan.copies(up, _down_rows(up), (1 << len(up)) - 1))
 
 
 @functools.lru_cache(maxsize=1024)
-def _copy_plan(up: tuple[int, ...]):
+def _copy_plan(up: tuple[int, ...]) -> _Plan:
     """The placement plan of the poset with relation rows ``up`` that admits
     one embedding per image.  Along a stabilizer chain of the automorphism
     group G, in placement order, element a must take the lowest target of
@@ -314,7 +432,7 @@ def _copy_plan(up: tuple[int, ...]):
     f∘σ with one image, the first constraint keeps those with σ(a1) fixed,
     a coset of the stabilizer of a1, the next one a coset of the stabilizer
     of a1 and a2 within it, and so on: exactly one passes them all."""
-    order = _plan(up, None)[0]
+    order = _plan(up, None).order
     less = []
     group = _automorphisms(up)
     for a in order:
@@ -324,7 +442,7 @@ def _copy_plan(up: tuple[int, ...]):
 
 
 @functools.lru_cache(maxsize=1024)
-def _pinned_plans(up: tuple[int, ...]) -> tuple:
+def _pinned_plans(up: tuple[int, ...]) -> tuple[_Plan, ...]:
     """The placement plans of the poset with relation rows ``up`` that place
     first the smallest element of each automorphism orbit."""
     plans, seen = [], 0
@@ -344,62 +462,15 @@ def has_pinned_copy(forbidden, up, down, pinned: int) -> bool:
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one
-    element per orbit only.
+    element per orbit only, by the ``exists`` kernel of its pinned plan.
     """
-    return any(next(_match(plan, up, down, 1 << pinned), None) is not None
-               for P in forbidden if P.size <= len(up) for plan in _pinned_plans(P.up))
-
-
-def _match(plan, up, down, first: int):
-    """Backtracking over the plan's steps: the candidates of a step are the
-    AND of the rows of the targets already placed, minus the used ones,
-    above the targets its order constraints name, and the first step's are
-    ``first``.  Each embedding is yielded as ``image``, its targets in
-    placement order (``image[s]`` is the target of element ``order[s]``):
-    one list, overwritten as the search goes on, so a caller reads it
-    before the next one (``_mapping`` turns it into a mapping)."""
-    order, steps = plan
-    p = len(order)
-    image = [0] * p
-    if p == 0:
-        yield image
-        return
-    every = (1 << len(up)) - 1
-    cands = [0] * p
-    cands[0] = first
-    used = 0
-    t = 0
-    while True:
-        c = cands[t]
-        if not c:
-            if t == 0:
-                return
-            t -= 1
-            used ^= 1 << image[t]
-            continue
-        low = c & -c
-        cands[t] = c ^ low
-        j = low.bit_length() - 1
-        step = steps[t]
-        if up[j].bit_count() < step[3] or down[j].bit_count() < step[4]:
-            continue
-        image[t] = j
-        if t == p - 1:
-            yield image
-            continue
-        used |= low
-        t += 1
-        below, above, apart, _, _, after = steps[t]
-        c = every ^ used
-        for s in below:
-            c &= down[image[s]]
-        for s in above:
-            c &= up[image[s]]
-        for s in apart:
-            c &= ~(up[image[s]] | down[image[s]])
-        for s in after:
-            c &= -2 << image[s]
-        cands[t] = c
+    first, k = 1 << pinned, len(up)
+    for P in forbidden:
+        if P.size <= k:
+            for plan in _pinned_plans(P.up):
+                if plan.exists(up, down, first):
+                    return True
+    return False
 
 
 def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
@@ -409,8 +480,8 @@ def is_induced_subposet(P: Poset, Q: Poset) -> EmbeddingWitness | None:
     if P.size > Q.size:
         return None
     plan = _plan(P.up, None)
-    image = next(_match(plan, Q.up, Q.down_masks(), (1 << Q.size) - 1), None)
-    return None if image is None else EmbeddingWitness(_mapping(plan[0], image))
+    found = next(plan.copies(Q.up, Q.down_masks(), (1 << Q.size) - 1), None)
+    return None if found is None else EmbeddingWitness(_mapping(plan.order, found[1]))
 
 
 def isomorphic(P: Poset, Q: Poset) -> bool:

@@ -32,7 +32,6 @@ from .poset import (
     LegsWitness,
     Poset,
     _copy_plan,
-    _match,
     dual,
     has_legs,
     isomorphic,
@@ -113,12 +112,19 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
         raise BadN(f"ground-set size must be >= 0, got {n}")
     if 1 << n > SWEEP_CAP:
         raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
-    forbidden = check_forbidden(forbidden)
+    return SetFamily.of(n, _lex_greedy(n, check_forbidden(forbidden), 1 << n))
+
+
+def _lex_greedy(n: int, forbidden: tuple[Poset, ...], most: int) -> list[int] | None:
+    """The members of ``greedy_saturate``, or None as soon as they are more
+    than ``most``."""
     rows = InclusionRows()
     for s in range(1 << n):
         if not rows.blocks(s, forbidden):
             rows.push(s)
-    return SetFamily.of(n, rows.members)
+            if len(rows.members) > most:
+                return None
+    return rows.members
 
 
 class TranspositionLanes(NamedTuple):
@@ -204,20 +210,20 @@ class _CopyTable:
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
         """Enumerate the copies on the cube ``rows`` (the cached rows of
-        the search, only read), one image each from ``_match`` on the
-        ``_copy_plan`` that ``induced_copies`` runs (isomorphic posets in
-        the list share their copies, so each class is enumerated once), and
-        build the tables, checking ``deadline`` as it goes; raises TooLarge
-        as soon as the memberships (sum of the copy sizes) cross
-        ``SWEEP_CAP``."""
+        the search, only read), each as the bitset and the targets that the
+        ``copies`` kernel of the ``_copy_plan`` that ``induced_copies`` runs
+        yields (isomorphic posets in the list share their copies, so each
+        class is enumerated once), and build the tables, checking
+        ``deadline`` as it goes; raises TooLarge as soon as the memberships
+        (sum of the copy sizes) cross ``SWEEP_CAP``."""
         total = len(rows.up)
         self.full = (1 << total) - 1
-        pow2 = [1 << j for j in range(total)]
+        self.smallest = min(P.size for P in forbidden)
         through = [[] for _ in range(total)]
         self.copies = memberships = 0
         for P in isomorphism_classes(forbidden):
-            images = _match(_copy_plan(P.up), rows.up, rows.down, self.full) if P.size <= total else ()
-            for image in images:
+            copies = _copy_plan(P.up).copies(rows.up, rows.down, self.full) if P.size <= total else ()
+            for bits, image in copies:
                 if not self.copies & 1023:
                     _check_deadline(deadline)
                 self.copies += 1
@@ -225,7 +231,6 @@ class _CopyTable:
                 if memberships > SWEEP_CAP:
                     raise TooLarge(f"the forbidden copies among the {total} masks hold over "
                                    f"{SWEEP_CAP} memberships, over the cap")
-                bits = sum(map(pow2.__getitem__, image))
                 for j in image:
                     through[j].append(bits)
         self.through = through
@@ -263,9 +268,12 @@ class _CopyTable:
         outside ``members`` and x (x must be outside ``members``), as a
         bitset of masks; 0 when there is none.  Every mask above the highest
         one in ``within`` is outside it, so the chunks from ``top`` on are
-        one ``tail`` lookup; the copies left are scanned from the highest.
-        (In an ascending search a copy whose masks lie high stays inside the
-        live masks longest, so it makes the best watch.)"""
+        one ``tail`` lookup.  When ``most`` + 1 is below the smallest
+        forbidden size a copy with no member fails the count, so the rows of
+        the members' pattern in their chunks drop the copies that avoid
+        every member.  The copies left are scanned from the highest.  (In an
+        ascending search a copy whose masks lie high stays inside the live
+        masks longest, so it makes the best watch.)"""
         top = (within.bit_length() + 3) >> 2
         alive = self.tail[x][top]
         out = self.full ^ within
@@ -275,6 +283,14 @@ class _CopyTable:
             if not alive:
                 return 0
             out >>= 4
+        if most + 1 < self.smallest:
+            none, inside = alive, members
+            for row in chunks[:(members.bit_length() + 3) >> 2]:
+                none &= row[inside & 15]
+                if not none:
+                    break
+                inside >>= 4
+            alive ^= none
         through = self.through[x]
         while alive:
             i = alive.bit_length() - 1
@@ -347,19 +363,36 @@ def certified_bounds(n: int, forbidden) -> SatStarResult:
     accepts.  Above 2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1)
     members) are left out, and TooLarge is raised when no X or Y candidate
     is saturated."""
+    return _certified_bounds(n, forbidden, False)
+
+
+def _certified_bounds(n: int, forbidden, stop: bool) -> SatStarResult:
+    """``certified_bounds``; with ``stop``, lex greedy is left out as soon
+    as it holds more members than the lower bound.  A greedy family that
+    large is never the witness of bounds that meet, so whenever they meet
+    the result is the same."""
     if n < 0:
         raise BadN(f"ground-set size must be >= 0, got {n}")
     forbidden = check_forbidden(forbidden)
     cert = _legs_certificate(n, forbidden)
     lower, lower_kind = (cert.bound, cert.kind) if cert else (1, "trivial")
     swept = 1 << n <= SWEEP_CAP
-    witness, upper_kind = (greedy_saturate(n, forbidden), "greedy") if swept else (None, None)
+    witness, upper_kind, size = None, None, math.inf
+    if swept:
+        greedy = _lex_greedy(n, forbidden, lower if stop else 1 << n)
+        if greedy is None:
+            size = lower + 1  # greedy's size, at least: only a construction that meets the bound counts
+        else:
+            witness, upper_kind, size = SetFamily.of(n, greedy), "greedy", len(greedy)
     named = [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
-    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept]
+    # the wedge of ell has more than 2^(ell+1) members, too many from 2^(ell+1) >= size on
+    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept and 2 << ell < size]
     named += [(f"complement:{kind}", complement_family(F)) for kind, F in named]
     for kind, F in named:
-        if (witness is None or len(F) < len(witness)) and is_induced_saturated(F, forbidden).saturated:
-            witness, upper_kind = F, kind
+        if len(F) < size and is_induced_saturated(F, forbidden).saturated:
+            witness, upper_kind, size = F, kind, len(F)
+    if witness is None and swept:
+        raise TooLarge(f"lex greedy passes the lower bound {lower} at n = {n}, and no construction meets it")
     if witness is None:
         raise TooLarge(f"no X or Y construction is saturated at n = {n}, and greedy scans at most {SWEEP_CAP} sets")
     upper = len(witness)
@@ -436,7 +469,8 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     Every result of a search carries its ``SearchStats``.  With the bounds
     apart, n > ``SEARCH_CAP`` raises TooLarge before any search.
     """
-    return _deepen(n, forbidden, config, certified_bounds)
+    # above the cap the bounds only settle whether they meet
+    return _deepen(n, forbidden, config, functools.partial(_certified_bounds, stop=n > SEARCH_CAP))
 
 
 def _greedy_bounds(n: int, forbidden) -> SatStarResult:

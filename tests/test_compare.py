@@ -68,7 +68,8 @@ def test_frontier_agreement_rejects_sides_whose_tightest_bounds_are_apart():
 def test_frontier_agreement_flags_the_witnesses_of_exact_tasks():
     parent = [made_up_pass(6, 6), made_up_pass(5, 6)]
     (same,) = compare.frontier_agreement(parent, [made_up_pass(5, 6), made_up_pass(6, 6)])
-    assert same == {"poset": "diamond", "n": 5, "tightest": [6, 6], "same_witness": True, "same_tree": None}
+    assert same == {"poset": "diamond", "n": 5, "tightest": [6, 6], "same_witness": True, "same_tree": None,
+                    "same_stats": None}
     (other,) = compare.frontier_agreement(parent, [made_up_pass(6, 6, (0, 1, 4)), made_up_pass(6, 6)])
     assert other["same_witness"] is False
     # one side never settles the task: no flag
@@ -95,6 +96,21 @@ def test_frontier_agreement_flags_the_trees_of_searched_tasks():
     # no exact pass with stats on one side (certified, or cut by the limit): no flag
     (open_,) = compare.frontier_agreement(parent, [made_up_pass(6, 6), searched_pass(5, 6, 7)])
     assert open_["same_witness"] is True and open_["same_tree"] is None
+
+
+def test_frontier_agreement_flags_the_stats_of_searched_tasks():
+    parent = [searched_pass(6, 6, 9), searched_pass(5, 6, 7)]
+    (same,) = compare.frontier_agreement(parent, [searched_pass(6, 6, 9), made_up_pass(6, 6)])
+    assert same["same_tree"] is True and same["same_stats"] is True
+    # the seconds may differ; no other field may
+    timed = dict(parent[0][0]["stats"], level_seconds=[[5, 0.5]], build_seconds=0.25)
+    assert compare.frontier_agreement(parent[:1], [[dict(parent[0][0], stats=timed)]])[0]["same_stats"] is True
+    queries = dict(parent[0][0]["stats"], queries=3)
+    (other,) = compare.frontier_agreement(parent[:1], [[dict(parent[0][0], stats=queries)]])
+    assert other["same_tree"] is True and other["same_stats"] is False
+    # no exact pass with stats on one side: no flag
+    (open_,) = compare.frontier_agreement(parent, [made_up_pass(6, 6), searched_pass(5, 6, 7)])
+    assert open_["same_stats"] is None
 
 
 def test_src_lines_counts_the_package_sources():

@@ -182,7 +182,7 @@ def test_embeddings_match_vf2(nx, F, P):
 def test_first_copy_is_the_least_vf2_embedding_in_placement_order(nx, F, P, Q):
     # contains_induced_copy and is_induced_subposet return the embedding
     # whose targets, read in P's placement order, are least
-    order = _plan(P.up, None)[0]
+    order = _plan(P.up, None).order
 
     def least(every):
         return min(every, key=lambda m: [m[a] for a in order], default=None)

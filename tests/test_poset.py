@@ -21,7 +21,15 @@ from posat import (
 )
 from posat.errors import BadParam, CycleInCovers, IndexOutOfRange, UnknownName
 from posat.family import InclusionRows
-from posat.poset import _automorphisms, induced_copies, iter_legs_witnesses
+from posat.poset import (
+    _automorphisms,
+    _copy_plan,
+    _kernel_source,
+    _pinned_plans,
+    _plan,
+    induced_copies,
+    iter_legs_witnesses,
+)
 
 from conftest import vf2_embeddings
 
@@ -298,3 +306,99 @@ def test_induced_copies_yield_one_embedding_per_copy(nx, n):
         assert set(images) == {frozenset(m) for m in every}, (P, n)
         assert set(copies) <= every, (P, n)
         assert len(copies) * automorphism_count(P) == len(every), (P, n)
+
+
+# -- the compiled kernels against the interpreter they replaced ---------------
+
+def backtrack(plan, up, down, first: int):
+    """The plain backtracker over the plan's steps: the candidates of a step
+    are the AND of the rows of the targets already placed, minus the used
+    ones, above the targets its order constraints name, and the first
+    step's are ``first``.  Yields each embedding as its targets in
+    placement order, as a tuple."""
+    order, steps = plan.order, plan.steps
+    p = len(order)
+    image = [0] * p
+    if p == 0:
+        yield ()
+        return
+    every = (1 << len(up)) - 1
+    cands = [0] * p
+    cands[0] = first
+    used = 0
+    t = 0
+    while True:
+        c = cands[t]
+        if not c:
+            if t == 0:
+                return
+            t -= 1
+            used ^= 1 << image[t]
+            continue
+        low = c & -c
+        cands[t] = c ^ low
+        j = low.bit_length() - 1
+        step = steps[t]
+        if up[j].bit_count() < step[3] or down[j].bit_count() < step[4]:
+            continue
+        image[t] = j
+        if t == p - 1:
+            yield tuple(image)
+            continue
+        used |= low
+        t += 1
+        below, above, apart, _, _, after = steps[t]
+        c = every ^ used
+        for s in below:
+            c &= down[image[s]]
+        for s in above:
+            c &= up[image[s]]
+        for s in apart:
+            c &= ~(up[image[s]] | down[image[s]])
+        for s in after:
+            c &= -2 << image[s]
+        cands[t] = c
+
+
+def assert_kernels_match(plan, up, down, first: int) -> None:
+    """Both kernels of the plan against ``backtrack``: the same images in
+    the same order, each copy the OR of its image's bits, and ``exists``
+    true iff there is a first image."""
+    want = list(backtrack(plan, up, down, first))
+    got = [(bits, tuple(image)) for bits, image in plan.copies(up, down, first)]
+    assert [image for _, image in got] == want, plan
+    assert all(bits == sum(1 << j for j in image) for bits, image in got), plan
+    assert plan.exists(up, down, first) == (next(iter(want), None) is not None), plan
+
+
+def assert_every_plan_matches(posets, up, down) -> None:
+    """The copy plan and the plan without order constraints of each poset on
+    every target, and each of its pinned plans pinned at each target."""
+    every = (1 << len(up)) - 1
+    for P in posets:
+        for plan in (_copy_plan(P.up), _plan(P.up, None)):
+            assert_kernels_match(plan, up, down, every)
+        for plan in _pinned_plans(P.up):
+            for j in range(len(up)):
+                assert_kernels_match(plan, up, down, 1 << j)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernels_match_the_backtracker_on_the_cube(n):
+    cube = InclusionRows(range(1 << n))
+    assert_every_plan_matches(catalog_small(5), cube.up, cube.down)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 31), max_size=10))
+def test_kernels_match_the_backtracker_on_drawn_families(masks):
+    rows = InclusionRows(sorted(masks))
+    assert_every_plan_matches(catalog_small(5), rows.up, rows.down)
+
+
+def test_kernels_of_long_plans_go_on_in_further_functions():
+    # 21 steps: one more loop than CPython nests in one function
+    P, Q = catalog("chain", 21), catalog("chain", 23)
+    assert "def kernel20(" in _kernel_source(_plan(P.up, None), "copies")
+    assert_every_plan_matches([P], Q.up, Q.down_masks())
+    assert len(list(_plan(P.up, None).copies(Q.up, Q.down_masks(), (1 << 23) - 1))) == 253

@@ -250,10 +250,10 @@ def test_symmetry_tables_are_capped_before_any_work():
 
 def test_the_cap_applies_before_greedy(monkeypatch):
     # lex greedy would scan the 2^20 masks for about 17 s first
-    def no_greedy(n, forbidden):
+    def no_greedy(n, forbidden, most):
         raise AssertionError("greedy ran")
 
-    monkeypatch.setattr(search, "greedy_saturate", no_greedy)
+    monkeypatch.setattr(search, "_lex_greedy", no_greedy)
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
         exact_sat_star(20, [catalog("diamond")])
@@ -265,6 +265,26 @@ def test_the_cap_applies_before_greedy(monkeypatch):
     assert res.exact and res.lower_bound == res.upper_bound == 1 and res.upper_kind == "greedy"
     res = exact_sat_star(9, [catalog("wedge", 1)])
     assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
+
+
+def test_greedy_stops_at_the_legs_bound_above_the_cap():
+    # above SEARCH_CAP the bounds only settle whether they meet, so greedy
+    # stops once it holds more members than the legs bound (a full scan of
+    # the 2^20 masks took 16 s for Y and 5 min for wedge(3))
+    t0 = time.monotonic()
+    for P in (catalog("Y"), catalog("Yinv"), catalog("wedge", 3), catalog("vee", 3)):
+        with pytest.raises(TooLarge, match="passes the lower bound 21"):
+            exact_sat_star(20, [P])
+    assert time.monotonic() - t0 < 2
+    # wherever the bounds meet, the search starts from certified_bounds' result
+    for P in isomorphism_classes(catalog_small(5)):
+        for n in (9, 10):
+            want = certified_bounds(n, [P])
+            if want.exact:
+                assert search._certified_bounds(n, [P], True) == want, (P, n)
+            else:
+                with pytest.raises(TooLarge):
+                    search._certified_bounds(n, [P], True)
 
 
 def test_the_search_keeps_no_member_rows(monkeypatch):
@@ -477,6 +497,13 @@ def test_copy_table_agrees_with_the_pinned_query(n):
                     assert copy == max((sum(1 << m for m in members) for P in forbidden
                                         for members in itertools.combinations(inside, P.size)
                                         if x in members and brute_has_induced_copy(members, P)), default=0)
+                # with a count: the highest copy through x inside ``within``
+                # with at most ``most`` masks outside ``chosen`` and x
+                chosen = rng.getrandbits(total) & within & ~(1 << x)
+                for most in range(p):
+                    want = max((c for c in table.through[x] if not c & ~within and (c & ~chosen).bit_count() <= most + 1),
+                               default=0)
+                    assert table.small_copy_through(x, within, chosen, most) == want, (forbidden, x, chosen, most)
 
 
 def cube_blocked(forbidden, total, members):

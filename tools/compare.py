@@ -13,7 +13,8 @@ each other, or when the two sides' tightest bounds share no value.  For a
 task that both sides settle exactly, ``frontier_agreement`` records
 whether they returned the same witness, and, when both settle it by a
 search, whether every such search walked the same tree (the same nodes,
-leaves and symmetry prunes in its stats).  The report also gives each
+leaves and symmetry prunes in its stats) and whether every such search has
+the same stats but the seconds.  The report also gives each
 side's line count of ``src/posat/*.py``.  One process runs at a time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
@@ -89,8 +90,10 @@ def frontier_agreement(parent: list[list[dict]], change: list[list[dict]]) -> li
     (None otherwise), and ``same_tree``, for a task that a pass of each
     side settles exactly by a search, true when every such pass walked the
     same tree: the same nodes, leaves and symmetry prunes (None
-    otherwise).  Each side's tightest bounds contain the true value, so
-    the script fails when the two sides' share none."""
+    otherwise), and ``same_stats``, for the same tasks, true when every
+    such pass has the same ``SearchStats`` but ``level_seconds`` and
+    ``build_seconds``.  Each side's tightest bounds contain the true value,
+    so the script fails when the two sides' share none."""
     table = []
     for records in zip(*parent, *change):
         lower, upper = max(r["lower"] for r in records), min(r["upper"] for r in records)
@@ -102,13 +105,15 @@ def frontier_agreement(parent: list[list[dict]], change: list[list[dict]]) -> li
         same = None
         if all(any(r["exact"] for r in side) for side in sides):
             same = all(r["witness"] == exact[0]["witness"] for r in exact)
-        searched = [(r["stats"]["nodes"], r["stats"]["leaves"], r["stats"]["symmetry_prunes"])
-                    for r in exact if r.get("stats")]
-        same_tree = None
+        searched = [r["stats"] for r in exact if r.get("stats")]
+        trees = [(st["nodes"], st["leaves"], st["symmetry_prunes"]) for st in searched]
+        counts = [{k: v for k, v in st.items() if k not in ("level_seconds", "build_seconds")} for st in searched]
+        same_tree = same_stats = None
         if all(any(r["exact"] and r.get("stats") for r in side) for side in sides):
-            same_tree = all(t == searched[0] for t in searched)
+            same_tree = all(t == trees[0] for t in trees)
+            same_stats = all(c == counts[0] for c in counts)
         table.append({"poset": records[0]["poset"], "n": records[0]["n"], "tightest": [lower, upper],
-                      "same_witness": same, "same_tree": same_tree})
+                      "same_witness": same, "same_tree": same_tree, "same_stats": same_stats})
     return table
 
 
