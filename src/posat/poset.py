@@ -245,7 +245,6 @@ def has_legs(P: Poset) -> LegsWitness | None:
 
 # -- induced embedding: the one matcher -------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class _Plan:
     """A placement plan: the elements in placement order, and per step the
     earlier steps the element lies below, lies above and is incomparable
@@ -253,8 +252,8 @@ class _Plan:
     lie below its target (see ``_plan``).  Its two kernels are the matcher:
     each is compiled on first use and kept with the plan (``_kernel``)."""
 
-    order: tuple[int, ...]
-    steps: tuple
+    def __init__(self, order: tuple[int, ...], steps: tuple):
+        self.order, self.steps = order, steps
 
     @functools.cached_property
     def copies(self):
