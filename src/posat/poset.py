@@ -394,9 +394,10 @@ def _kernel(plan: _Plan, leaf: str):
 def induced_copies(P: Poset, up, down):
     """Yield one induced copy of P per image, as an EmbeddingWitness, among
     targets 0..k-1 ordered by the rows ``up[j]`` / ``down[j]`` (bit i set
-    iff target i lies strictly above / below target j).  The first one is
-    the lexicographically first embedding in placement order.  The rows
-    must not change while the generator is in use.
+    iff target i lies strictly above / below target j), from the ``copies``
+    kernel of the poset's ``_copy_plan``.  The first one is the
+    lexicographically first embedding in placement order.  The rows must
+    not change while the generator is in use.
     """
     if P.size <= len(up):
         plan = _copy_plan(P.up)

@@ -379,7 +379,7 @@ def _certified_bounds(n: int, forbidden, stop: bool) -> SatStarResult:
     swept = 1 << n <= SWEEP_CAP
     witness, upper_kind, size = None, None, math.inf
     if swept:
-        greedy = _lex_greedy(n, forbidden, lower if stop else 1 << n)
+        greedy = _lex_greedy(n, forbidden, lower) if stop else greedy_saturate(n, forbidden).members
         if greedy is None:
             size = lower + 1  # greedy's size, at least: only a construction that meets the bound counts
         else:
