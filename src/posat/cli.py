@@ -67,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-saturated", help="saturation verdict for a family")
     p.add_argument("--family", required=True)
     p.add_argument("--poset", action="append", required=True)
+    p.set_defaults(run=_cmd_check_saturated)
 
     p = sub.add_parser("satstar", help="bounds / exact minimum saturated size")
     p.add_argument("--n", type=int, required=True)
@@ -77,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--stats", action="store_true", help="print the search counters after the result")
     g.add_argument("--json", action="store_true", help="print the result and the search counters as one JSON object")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_satstar)
 
     p = sub.add_parser("construct", help="write a named family construction")
     p.add_argument(
@@ -87,11 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("blowup", help="lift a family from [n] to [n+1]")
     p.add_argument("--family", required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_blowup)
 
     p = sub.add_parser("digraph", help="digraph operations")
     actions = p.add_subparsers(dest="action", required=True)
@@ -118,14 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("legs", help="legs witness of a poset")
     p.add_argument("--poset", required=True)
+    p.set_defaults(run=_cmd_legs)
 
     p = sub.add_parser("dual", help="order-reversed poset")
     p.add_argument("--poset", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_dual)
 
     p = sub.add_parser("dot", help="poset plus a new maximum element")
     p.add_argument("--poset", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_dot)
 
     p = sub.add_parser("export-dot", help="DOT export")
     g = p.add_mutually_exclusive_group(required=True)
@@ -133,9 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family")
     g.add_argument("--digraph")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_export_dot)
 
     p = sub.add_parser("verify", help="re-run the headline checks")
     p.add_argument("--fast", action="store_true", help="only the checks tagged fast")
+    p.set_defaults(run=_cmd_verify)
     return ap
 
 
@@ -218,6 +227,40 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _cmd_blowup(args) -> int:
+    _emit(pio.format_family(fam.blow_up(_load_family(args.family), args.i)), args.out)
+    return 0
+
+
+def _cmd_legs(args) -> int:
+    w = has_legs(_load_poset(args.poset))
+    if w is None:
+        print("legs=none")
+        return 1
+    print(f"legs={w.leg1 + 1},{w.leg2 + 1} hip={w.hip + 1}")
+    return 0
+
+
+def _cmd_dual(args) -> int:
+    _emit(pio.format_poset(dual(_load_poset(args.poset))), args.out)
+    return 0
+
+
+def _cmd_dot(args) -> int:
+    _emit(pio.format_poset(dot_extension(_load_poset(args.poset))), args.out)
+    return 0
+
+
+def _cmd_export_dot(args) -> int:
+    if args.poset:
+        _emit(pio.poset_dot(_load_poset(args.poset)), args.out)
+    elif args.family:
+        _emit(pio.family_dot(_load_family(args.family)), args.out)
+    else:
+        _emit(pio.digraph_dot(_load_digraph(args.digraph)), args.out)
+    return 0
+
+
 def _digraph_aux(args) -> int:
     _emit(pio.format_digraph(dg.auxiliary_digraph(_load_family(args.family))), args.out)
     return 0
@@ -269,42 +312,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check-saturated":
-            return _cmd_check_saturated(args)
-        if args.command == "satstar":
-            return _cmd_satstar(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "blowup":
-            F = _load_family(args.family)
-            _emit(pio.format_family(fam.blow_up(F, args.i)), args.out)
-            return 0
-        if args.command == "digraph":
-            return args.run(args)
-        if args.command == "legs":
-            w = has_legs(_load_poset(args.poset))
-            if w is None:
-                print("legs=none")
-                return 1
-            print(f"legs={w.leg1 + 1},{w.leg2 + 1} hip={w.hip + 1}")
-            return 0
-        if args.command == "dual":
-            _emit(pio.format_poset(dual(_load_poset(args.poset))), args.out)
-            return 0
-        if args.command == "dot":
-            _emit(pio.format_poset(dot_extension(_load_poset(args.poset))), args.out)
-            return 0
-        if args.command == "export-dot":
-            if args.poset:
-                _emit(pio.poset_dot(_load_poset(args.poset)), args.out)
-            elif args.family:
-                _emit(pio.family_dot(_load_family(args.family)), args.out)
-            else:
-                _emit(pio.digraph_dot(_load_digraph(args.digraph)), args.out)
-            return 0
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return 2
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -75,8 +75,9 @@ class SatStarResult:
     """Bounds on the minimum saturated family size, with certificates.
 
     ``lower_kind`` is exhaustive, legs, double_legs or trivial; ``upper_kind``
-    is exhaustive (the search), greedy or a construction such as x_upper,
-    complement:y_upper or wedge_upper:2.  An exact witness attains the lower bound.
+    is exhaustive (the search), greedy or a construction such as empty
+    ({∅}), star (∅ plus the singletons), x_upper, complement:y_upper or
+    wedge_upper:2.  An exact witness attains the lower bound.
     ``stats`` is set iff a search ran.
     """
 
@@ -112,19 +113,12 @@ def greedy_saturate(n: int, forbidden) -> SetFamily:
         raise BadN(f"ground-set size must be >= 0, got {n}")
     if 1 << n > SWEEP_CAP:
         raise TooLarge(f"greedy scans all 2^{n} sets, over the cap of {SWEEP_CAP}")
-    return SetFamily.of(n, _lex_greedy(n, check_forbidden(forbidden), 1 << n))
-
-
-def _lex_greedy(n: int, forbidden: tuple[Poset, ...], most: int) -> list[int] | None:
-    """The members of ``greedy_saturate``, or None as soon as they are more
-    than ``most``."""
+    forbidden = check_forbidden(forbidden)
     rows = InclusionRows()
     for s in range(1 << n):
         if not rows.blocks(s, forbidden):
             rows.push(s)
-            if len(rows.members) > most:
-                return None
-    return rows.members
+    return SetFamily.of(n, rows.members)
 
 
 class TranspositionLanes(NamedTuple):
@@ -344,59 +338,51 @@ class _CopyTable:
 _ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & b) for v in range(16)]
 
 
-def _legs_certificate(n: int, forbidden: tuple[Poset, ...]) -> LegsCertificate | None:
-    """The legs certificate of the single forbidden poset P, else of dual(P)
-    (complementing every member turns a P-saturated family into a
-    dual(P)-saturated one; when both have legs either gives 2n + 2), at
-    n >= 3; None otherwise."""
-    if len(forbidden) != 1 or n < 3:
-        return None
-    return legs_lower_bound(forbidden[0], n) or legs_lower_bound(dual(forbidden[0]), n)
-
-
 def certified_bounds(n: int, forbidden) -> SatStarResult:
     """Bounds on the minimum saturated family size known without search.
-    Lower: the legs certificate of the single forbidden poset P or of
-    dual(P) (``_legs_certificate``), else 1, trivial.  Upper: the
+    Lower: the legs certificate of the single forbidden poset P, else of
+    dual(P), at n >= 3, else 1, trivial.  Upper: the
     smallest, and earliest on ties, of lex greedy, the X, Y and wedge
     constructions and their complements that ``is_induced_saturated``
     accepts.  Above 2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1)
-    members) are left out, and TooLarge is raised when no X or Y candidate
-    is saturated."""
+    members) are left out, {∅} (empty) and ∅ plus the singletons (star)
+    and their complements come first in greedy's place, and TooLarge is
+    raised when no candidate is saturated."""
     return _certified_bounds(n, forbidden, False)
 
 
-def _certified_bounds(n: int, forbidden, stop: bool) -> SatStarResult:
-    """``certified_bounds``; with ``stop``, lex greedy is left out as soon
-    as it holds more members than the lower bound.  A greedy family that
-    large is never the witness of bounds that meet, so whenever they meet
-    the result is the same."""
+def _certified_bounds(n: int, forbidden, settle: bool) -> SatStarResult:
+    """``certified_bounds``; with ``settle`` only a family with exactly the
+    lower bound's members counts, since only such a family settles sat*:
+    greedy is left out at every n, empty and star take its place, and
+    TooLarge is raised when no candidate that small is saturated."""
     if n < 0:
         raise BadN(f"ground-set size must be >= 0, got {n}")
     forbidden = check_forbidden(forbidden)
-    cert = _legs_certificate(n, forbidden)
+    # complementing every member turns a P-saturated family into a
+    # dual(P)-saturated one; when both have legs either gives 2n + 2
+    P = forbidden[0]
+    cert = legs_lower_bound(P, n) or legs_lower_bound(dual(P), n) if len(forbidden) == 1 and n >= 3 else None
     lower, lower_kind = (cert.bound, cert.kind) if cert else (1, "trivial")
     swept = 1 << n <= SWEEP_CAP
-    witness, upper_kind, size = None, None, math.inf
-    if swept:
-        greedy = _lex_greedy(n, forbidden, lower) if stop else greedy_saturate(n, forbidden).members
-        if greedy is None:
-            size = lower + 1  # greedy's size, at least: only a construction that meets the bound counts
-        else:
-            witness, upper_kind, size = SetFamily.of(n, greedy), "greedy", len(greedy)
-    named = [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
+    if swept and not settle:
+        witness = greedy_saturate(n, forbidden)
+        upper_kind, size, named = "greedy", len(witness), []
+    else:
+        witness, upper_kind, size = None, None, lower + 1 if settle else math.inf
+        named = [("empty", SetFamily.of(n, [0])), ("star", SetFamily.of(n, [0] + [1 << j for j in range(n)]))]
+    named += [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
     # the wedge of ell has more than 2^(ell+1) members, too many from 2^(ell+1) >= size on
     named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept and 2 << ell < size]
     named += [(f"complement:{kind}", complement_family(F)) for kind, F in named]
     for kind, F in named:
         if len(F) < size and is_induced_saturated(F, forbidden).saturated:
             witness, upper_kind, size = F, kind, len(F)
-    if witness is None and swept:
-        raise TooLarge(f"lex greedy passes the lower bound {lower} at n = {n}, and no construction meets it")
+    if witness is None and settle:
+        raise TooLarge(f"no construction meets the lower bound {lower} at n = {n}, over the search cap of {SEARCH_CAP}")
     if witness is None:
-        raise TooLarge(f"no X or Y construction is saturated at n = {n}, and greedy scans at most {SWEEP_CAP} sets")
-    upper = len(witness)
-    return SatStarResult(n, forbidden, lower, lower_kind, upper, upper_kind, witness, lower >= upper)
+        raise TooLarge(f"no construction is saturated at n = {n}, and greedy scans at most {SWEEP_CAP} sets")
+    return SatStarResult(n, forbidden, lower, lower_kind, size, upper_kind, witness, lower >= size)
 
 
 def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> SatStarResult:
@@ -466,11 +452,14 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
 
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
-    Every result of a search carries its ``SearchStats``.  With the bounds
-    apart, n > ``SEARCH_CAP`` raises TooLarge before any search.
+    Every result of a search carries its ``SearchStats``.  Above
+    ``SEARCH_CAP`` only a family with exactly the lower bound's members
+    settles sat*, so greedy is left out there: {∅} (empty) settles
+    chain(2), ∅ plus the singletons (star) wedge(1), its complement fork,
+    and x_upper X; otherwise TooLarge is raised before any search.
     """
-    # above the cap the bounds only settle whether they meet
-    return _deepen(n, forbidden, config, functools.partial(_certified_bounds, stop=n > SEARCH_CAP))
+    bounds = _certified_bounds(n, forbidden, settle=n > SEARCH_CAP)
+    return bounds if bounds.exact else _deepen(n, forbidden, bounds, config)
 
 
 def _greedy_bounds(n: int, forbidden) -> SatStarResult:
@@ -478,27 +467,18 @@ def _greedy_bounds(n: int, forbidden) -> SatStarResult:
     return SatStarResult(n, forbidden, 1, "trivial", len(greedy), "greedy", greedy, len(greedy) == 1)
 
 
-def _deepen(n: int, forbidden, config=None, start_bounds=_greedy_bounds, symmetry=True) -> SatStarResult:
-    """The search from ``start_bounds``; the default, 1 up to lex greedy, and
-    ``symmetry=False`` (no transposition pruning) are test oracles."""
+def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True) -> SatStarResult:
+    """The search between ``bounds``; bounds other than the certified ones
+    (``_greedy_bounds``, 1 up to lex greedy) and ``symmetry=False`` (no
+    transposition pruning) are test oracles.  Above ``SEARCH_CAP`` it
+    raises TooLarge before any work."""
+    if n > SEARCH_CAP:
+        raise TooLarge(f"bounds {bounds.lower_bound}..{bounds.upper_bound} leave a search at n = {n}, over the cap of {SEARCH_CAP}")
     forbidden = check_forbidden(forbidden)
     config = config or SearchConfig()
     deadline = None
     if config.time_limit is not None:
         deadline = time.monotonic() + config.time_limit
-
-    # with no legs certificate the lower bound is 1, and above the cap only
-    # lex greedy can meet it, when {∅} is saturated (every construction is
-    # larger): otherwise the bounds stay apart, known before greedy's scan
-    if (n > SEARCH_CAP and _legs_certificate(n, forbidden) is None
-            and not is_induced_saturated(SetFamily.of(n, [0]), forbidden).saturated):
-        raise TooLarge(f"no legs certificate and {{∅}} is not saturated: the bounds leave a search "
-                       f"at n = {n}, over the cap of {SEARCH_CAP}")
-    bounds = start_bounds(n, forbidden)
-    if bounds.exact:
-        return bounds
-    if n > SEARCH_CAP:
-        raise TooLarge(f"bounds {bounds.lower_bound}..{bounds.upper_bound} leave a search at n = {n}, over the cap of {SEARCH_CAP}")
     upper = bounds.upper_bound
 
     total = 1 << n

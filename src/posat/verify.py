@@ -140,6 +140,16 @@ def _upper(kind: str, n: int) -> str:
     return _saturated(fam.x_upper_family(n), catalog("X"), 2 * n + 2)
 
 
+def _star_upper(n: int) -> str:
+    """∅ plus the singletons meets the legs bound n + 1 for wedge(1), and
+    its complement for fork (dual(wedge(1))); it is also the diamond's
+    n + 1 family."""
+    F = fam.SetFamily.of(n, [0] + [1 << j for j in range(n)])
+    _saturated(F, catalog("diamond"), n + 1)
+    _saturated(F, catalog("wedge", 1), n + 1)
+    return _saturated(fam.complement_family(F), catalog("fork"), n + 1)
+
+
 def _wedge_upper(n: int, ell: int) -> str:
     return _saturated(fam.wedge_upper_family(n, ell), catalog("wedge", ell + 1), n + 2 ** (ell + 1) - ell - 1)
 
@@ -326,7 +336,7 @@ def _consistency_web(n: int) -> str:
         res_dual = search.exact_sat_star(n, [dual(P)])
         _require(res.exact and res_dual.exact, f"{P.name}: not exact")
         _require(res.lower_bound == res_dual.lower_bound, f"{P.name}: dual differs")
-        oracle = search._deepen(n, [P])
+        oracle = search._deepen(n, [P], search._greedy_bounds(n, [P]))
         _require(oracle.exact and oracle.lower_bound == res.lower_bound, f"{P.name}: deepening from 1 differs")
         for Q in (P, dual(P)):
             cert = search.legs_lower_bound(Q, n)
@@ -347,6 +357,7 @@ CHECKS = [
     # n = 32 and 64 are the paper's scale: the twin-class sweep tests only
     # n + 1 or (ell + 1)(n - ell + 1) orbit representatives there
     *(Check(f"{kind}-upper-n{n}", n <= 4, partial(_upper, kind, n)) for n in (3, 4, 5, 6, 32, 64) for kind in "yx"),
+    *(Check(f"star-upper-n{n}", True, partial(_star_upper, n)) for n in (3, 4, 5, 6, 32, 64)),
     *(
         Check(f"wedge-upper-n{n}-l{ell}", n == 5, partial(_wedge_upper, n, ell))
         for n, ell in ((5, 2), (6, 2), (7, 3), (32, 3), (64, 3))

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  Four exceptions: networkx VF2,
+code shared with the library internals.  Five exceptions: networkx VF2,
 an independent matcher used only in tests; ``plain_max_tc_free``, a plain
 branch-and-bound that reaches further than full enumeration and keeps the
 library's transitive-chord test (itself checked against
 ``brute_first_transitive_cycle``); and ``plain_parse_family`` and
 ``plain_parse_digraph``, the family and digraph formats read with one regex,
 ``int`` and range checks per line and no lookup table, which build the
-library's ``SetFamily`` and ``Digraph`` and raise its ``ParseError``.  The
+library's ``SetFamily`` and ``Digraph`` and raise its ``ParseError``; and
+``all_posets``, which deduplicates its relations with the library's
+``isomorphic`` (its class counts are pinned to the known ones).  The
 library is checked against these, never the other way around.
 """
 
@@ -20,7 +22,7 @@ import re
 
 import pytest
 
-from posat import Digraph, Poset, SetFamily
+from posat import Digraph, Poset, SetFamily, isomorphic
 from posat.digraph import _transitive_chord
 from posat.errors import ParseError
 
@@ -71,6 +73,23 @@ def vf2_embeddings(nx, size: int, below, P: Poset) -> set[tuple[int, ...]]:
         for target, a in iso.items():
             mapping[a] = target
         out.add(tuple(mapping))
+    return out
+
+
+def all_posets(p: int) -> list[Poset]:
+    """Every poset on p elements up to isomorphism, one per class: every
+    poset has a linear extension, so labelling along it puts each relation
+    a < b on indices a < b, and the transitive sets of such index pairs
+    cover every class; they are deduplicated with ``isomorphic``."""
+    pairs = list(itertools.combinations(range(p), 2))
+    out = []
+    for bits in range(1 << len(pairs)):
+        rel = {pair for j, pair in enumerate(pairs) if bits >> j & 1}
+        if any((a, c) not in rel for a, b in rel for b2, c in rel if b == b2):
+            continue
+        P = Poset(p, tuple(sum(1 << b for a2, b in rel if a2 == a) for a in range(p)))
+        if not any(isomorphic(P, Q) for Q in out):
+            out.append(P)
     return out
 
 

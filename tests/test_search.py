@@ -33,7 +33,7 @@ from posat.family import InclusionRows, SaturationReport
 from posat.poset import EmbeddingWitness, LegsWitness, has_pinned_copy, induced_copies
 from posat.search import SatStarResult, TranspositionLanes, _CopyTable, _deepen, certified_bounds
 
-from conftest import brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
+from conftest import all_posets, brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
 
 
 # -- greedy -------------------------------------------------------------------
@@ -59,14 +59,15 @@ def test_greedy_sweep_is_capped():
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
         greedy_saturate(21, [catalog("diamond")])
-    # above the cap the certified bounds try the X and Y constructions only
+    # above the cap the certified bounds try the constructions only
     res = certified_bounds(64, [catalog("X")])
     assert res.exact and res.lower_bound == res.upper_bound == 130
     assert (res.lower_kind, res.upper_kind) == ("double_legs", "x_upper")
     res = certified_bounds(21, [catalog("Yinv")])
     assert (res.lower_bound, res.upper_bound, res.upper_kind) == (22, 23, "complement:y_upper")
-    with pytest.raises(TooLarge):
-        certified_bounds(21, [catalog("diamond")])  # no candidate is saturated
+    # greedy's place goes to {∅} and ∅ plus the singletons, the diamond's n + 1
+    res = certified_bounds(21, [catalog("diamond")])
+    assert (res.lower_bound, res.upper_bound, res.upper_kind) == (1, 22, "star")
     assert time.monotonic() - t0 < 1
 
 
@@ -101,7 +102,7 @@ def test_symmetry_reduction_changes_nothing(name):
     # the diamond, N, chain(3) and antichain(3) are self-dual: their search
     # also prunes by complementation
     P = SELF_DUAL.get(name) or catalog(name)
-    plain = _deepen(4, [P], start_bounds=certified_bounds, symmetry=False)
+    plain = _deepen(4, [P], certified_bounds(4, [P]), symmetry=False)
     pruned = exact_sat_star(4, [P])
     assert plain.lower_bound == pruned.lower_bound
     assert plain.exact and pruned.exact
@@ -111,7 +112,7 @@ def test_symmetry_reduction_changes_nothing(name):
 
 def test_symmetry_reduction_keeps_the_witness_at_n3():
     for P in isomorphism_classes(catalog_small(5)):
-        plain = _deepen(3, [P], start_bounds=certified_bounds, symmetry=False)
+        plain = _deepen(3, [P], certified_bounds(3, [P]), symmetry=False)
         pruned = exact_sat_star(3, [P])
         assert plain.exact and pruned.exact
         assert plain.witness == pruned.witness
@@ -227,7 +228,7 @@ def test_copy_table_is_capped():
 
 def test_symmetry_tables_are_capped_before_any_work():
     # the cap (n <= SEARCH_CAP = 8) applies only when a search is left:
-    # fork's legs bound n + 1 meets greedy at n = 9
+    # fork's legs bound n + 1 meets the complement of ∅ plus the singletons
     res = exact_sat_star(9, [catalog("fork")])
     assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
     # the time limits turn a missing cap into a fast failure, not a hang
@@ -235,56 +236,79 @@ def test_symmetry_tables_are_capped_before_any_work():
     with pytest.raises(TooLarge):
         exact_sat_star(9, [catalog("diamond")], SearchConfig(time_limit=3))
     assert time.monotonic() - t0 < 0.1
-    # with no legs certificate and {∅} not saturated the bounds stay apart,
-    # so at n = 12 the cap applies before lex greedy scans the 4096 masks
+    # above the cap lex greedy never runs: with no legs certificate and
+    # {∅} not saturated the bounds stay apart at n = 12
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
         exact_sat_star(12, [catalog("diamond")], SearchConfig(time_limit=3))
     assert time.monotonic() - t0 < 0.5
     # the cap does not depend on the symmetry reduction
+    bounds = certified_bounds(9, [catalog("diamond")])
     t0 = time.monotonic()
     with pytest.raises(TooLarge):
-        _deepen(9, [catalog("diamond")], SearchConfig(time_limit=1e-9), certified_bounds, symmetry=False)
+        _deepen(9, [catalog("diamond")], bounds, SearchConfig(time_limit=1e-9), symmetry=False)
     assert time.monotonic() - t0 < 0.1
 
 
-def test_the_cap_applies_before_greedy(monkeypatch):
-    # lex greedy would scan the 2^20 masks for about 17 s first
-    def no_greedy(n, forbidden, most):
+def test_exact_search_never_runs_greedy_above_the_cap(monkeypatch):
+    # above SEARCH_CAP only a family with exactly the lower bound's members
+    # settles sat*, so the bounds come from the constructions alone
+    def no_greedy(n, forbidden):
         raise AssertionError("greedy ran")
 
-    monkeypatch.setattr(search, "_lex_greedy", no_greedy)
-    t0 = time.monotonic()
-    with pytest.raises(TooLarge):
-        exact_sat_star(20, [catalog("diamond")])
-    assert time.monotonic() - t0 < 1
-    monkeypatch.undo()
-    # what greedy settles above the cap stays settled: {∅} for chain(2), and
-    # the legs bound of wedge(1) (of dual(fork) in the test above)
-    res = exact_sat_star(9, [catalog("chain", 2)])
-    assert res.exact and res.lower_bound == res.upper_bound == 1 and res.upper_kind == "greedy"
-    res = exact_sat_star(9, [catalog("wedge", 1)])
-    assert res.exact and res.lower_bound == res.upper_bound == 10 and res.lower_kind == "legs"
+    monkeypatch.setattr(search, "greedy_saturate", no_greedy)
+    for P in isomorphism_classes(catalog_small(5)):
+        for Q in (P, dual(P)):
+            for n in (9, 20):
+                try:
+                    res = exact_sat_star(n, [Q])
+                except TooLarge:
+                    continue
+                assert res.exact and is_induced_saturated(res.witness, [Q]).saturated, (P, n)
 
 
-def test_greedy_stops_at_the_legs_bound_above_the_cap():
-    # above SEARCH_CAP the bounds only settle whether they meet, so greedy
-    # stops once it holds more members than the legs bound (a full scan of
-    # the 2^20 masks took 16 s for Y and 5 min for wedge(3))
+def test_constructions_settle_the_bounds_above_the_cap():
+    # a full greedy scan of the 2^20 masks took 16 s for Y and 5 min for
+    # wedge(3); no construction meets their legs bound n + 1
     t0 = time.monotonic()
     for P in (catalog("Y"), catalog("Yinv"), catalog("wedge", 3), catalog("vee", 3)):
-        with pytest.raises(TooLarge, match="passes the lower bound 21"):
+        with pytest.raises(TooLarge, match="no construction meets the lower bound 21"):
             exact_sat_star(20, [P])
     assert time.monotonic() - t0 < 2
-    # wherever the bounds meet, the search starts from certified_bounds' result
-    for P in isomorphism_classes(catalog_small(5)):
-        for n in (9, 10):
-            want = certified_bounds(n, [P])
-            if want.exact:
-                assert search._certified_bounds(n, [P], True) == want, (P, n)
-            else:
+    # {∅} for chain(2); ∅ plus the singletons for wedge(1) and its
+    # complement for fork (dual(wedge(1))) meet the legs bound n + 1
+    for n in (20, 64):
+        t0 = time.monotonic()
+        for P, value, kind in ((catalog("chain", 2), 1, "empty"), (catalog("fork"), n + 1, "complement:star"),
+                               (catalog("wedge", 1), n + 1, "star")):
+            res = exact_sat_star(n, [P])
+            assert res.exact and res.lower_bound == res.upper_bound == len(res.witness) == value, (P, n)
+            assert res.upper_kind == kind and res.stats is None, (P, n)
+            assert is_induced_saturated(res.witness, [P]).saturated, (P, n)
+        assert time.monotonic() - t0 < 0.5
+    res = exact_sat_star(64, [catalog("X")])
+    assert res.exact and res.lower_bound == res.upper_bound == 130 and res.upper_kind == "x_upper"
+
+
+def test_constructions_above_the_cap_agree_with_greedy_on_every_small_poset():
+    # at n = 9 greedy still runs in certified_bounds: wherever it lets the
+    # bounds meet, the constructions alone settle the same value, and
+    # everywhere else the exact search raises TooLarge
+    for p in range(2, 6):
+        for P in all_posets(p):
+            want = certified_bounds(9, [P])
+            if not want.exact:
                 with pytest.raises(TooLarge):
-                    search._certified_bounds(n, [P], True)
+                    exact_sat_star(9, [P])
+                continue
+            res = exact_sat_star(9, [P])
+            assert res.exact and res.lower_bound == want.lower_bound == len(res.witness), P
+            assert is_induced_saturated(res.witness, [P]).saturated, P
+
+
+def test_all_posets_counts_the_classes():
+    # 1, 2, 5, 16, 63 posets on 1..5 elements (OEIS A000112)
+    assert [len(all_posets(p)) for p in range(1, 6)] == [1, 2, 5, 16, 63]
 
 
 def test_the_search_keeps_no_member_rows(monkeypatch):
@@ -307,7 +331,7 @@ def test_the_search_keeps_no_member_rows(monkeypatch):
     search._cube.cache_clear()
     monkeypatch.setattr(InclusionRows, "push", counting_push)
     monkeypatch.setattr(InclusionRows, "pop", pop)
-    res = _deepen(4, [P], start_bounds=lambda n, forbidden: bounds)
+    res = _deepen(4, [P], bounds)
     assert res.exact and res.lower_bound == 8 and res.witness == bounds.witness
     assert pushed == list(range(16))
 
@@ -381,7 +405,7 @@ def test_search_returns_the_brute_lex_first_family_at_n3():
         for Q in (P, dual(P)):
             brute = brute_first_saturated_n3(Q)
             for symmetry in (True, False):
-                res = _deepen(3, [Q], start_bounds=open_bounds, symmetry=symmetry)
+                res = _deepen(3, [Q], open_bounds(3, [Q]), symmetry=symmetry)
                 assert res.exact and res.witness.members == brute, (Q, symmetry)
 
 
@@ -398,7 +422,7 @@ def test_wedge3_and_vee3_are_exact_at_n5(name):
 def test_search_stats_count_the_work():
     # no search, no stats: the certified bounds meet for X at n = 5
     assert exact_sat_star(5, [catalog("X")]).stats is None
-    res = _deepen(4, [catalog("N")], start_bounds=open_bounds, symmetry=False)
+    res = _deepen(4, [catalog("N")], open_bounds(4, [catalog("N")]), symmetry=False)
     st = res.stats
     assert res.exact and st is not None
     assert [k for k, _ in st.level_seconds] == list(range(1, res.lower_bound + 1))
@@ -409,7 +433,7 @@ def test_search_stats_count_the_work():
     # witness leaf
     assert 0 < st.lookahead_prunes < st.nodes
     assert st.lookahead_prunes <= st.queries
-    pruned = _deepen(4, [catalog("N")], start_bounds=open_bounds).stats
+    pruned = _deepen(4, [catalog("N")], open_bounds(4, [catalog("N")])).stats
     assert pruned.symmetry_prunes > 0 and pruned.nodes < st.nodes
 
 
@@ -556,7 +580,7 @@ def test_certified_start_matches_the_unassisted_deepening():
         for Q in (P, dual(P)):
             for n in (3, 4):
                 res = exact_sat_star(n, [Q])
-                oracle = _deepen(n, [Q])
+                oracle = _deepen(n, [Q], search._greedy_bounds(n, [Q]))
                 assert res.exact and oracle.exact
                 assert res.lower_bound == res.upper_bound == oracle.lower_bound, (Q, n)
                 assert len(res.witness) == res.upper_bound
