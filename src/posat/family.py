@@ -84,14 +84,20 @@ class SetFamily:
         and kept for the life of this object (the fields are frozen)."""
         return _pair_table(self.n, self.members)
 
+    @cached_property
+    def _rows(self) -> "InclusionRows":
+        """The ``InclusionRows`` of the members, built on first use and kept
+        for the life of this object: the freeness check and the saturation
+        sweep read them, and nothing may push to them."""
+        return InclusionRows(self.members)
+
 
 # -- structure ---------------------------------------------------------------
 
 def inclusion_poset(F: SetFamily) -> tuple[Poset, tuple[int, ...]]:
     """Abstract poset of the family under proper inclusion, plus the
     element-index -> member-mask map."""
-    rows = InclusionRows(F.members)
-    return Poset(len(F.members), tuple(rows.up)), F.members
+    return Poset(len(F.members), tuple(F._rows.up)), F.members
 
 
 def complement_family(F: SetFamily) -> SetFamily:
@@ -115,18 +121,31 @@ def blow_up(F: SetFamily, i: int) -> SetFamily:
 # -- induced copies ----------------------------------------------------------
 
 class InclusionRows:
-    """Proper-inclusion rows of a list of distinct member masks, updated in
-    O(k) per push and pop: ``up[j]`` / ``down[j]`` have bit i set iff member
-    i is a proper superset / subset of member j.  Built from
-    ``range(1 << n)``, the rows of all of 2^[n] are indexed by the mask."""
+    """Proper-inclusion rows of a list of distinct member masks, extended in
+    O(k) per push: ``up[j]`` / ``down[j]`` have bit i set iff member i is a
+    proper superset / subset of member j.  Built from ``range(1 << n)``,
+    the rows of all of 2^[n] are indexed by the mask.  ``blocks`` only
+    reads them."""
 
     def __init__(self, members=()):
         self.members, self.up, self.down = [], [], []
         for m in members:
             self.push(m)
 
+    def relations(self, m: int) -> tuple[int, int]:
+        """The rows m would get, ``above`` and ``below``: bit i set iff
+        member i is a proper superset / subset of m (m not a member)."""
+        above = below = 0
+        for i, x in enumerate(self.members):
+            if m & ~x == 0:
+                above |= 1 << i
+            elif x & ~m == 0:
+                below |= 1 << i
+        return above, below
+
     def push(self, m: int) -> None:
-        """Append m."""
+        """Append m: ``relations``, with the rows it relates to set in the
+        same pass."""
         bit = 1 << len(self.members)
         up, down = self.up, self.down
         above = below = 0
@@ -141,34 +160,26 @@ class InclusionRows:
         up.append(above)
         down.append(below)
 
-    def pop(self) -> int:
-        """Remove the last pushed member and return it."""
-        bit = 1 << (len(self.members) - 1)
-        for rows, related in ((self.down, self.up.pop()), (self.up, self.down.pop())):
-            while related:
-                low = related & -related
-                rows[low.bit_length() - 1] ^= bit
-                related ^= low
-        return self.members.pop()
-
     def blocks(self, m: int, forbidden) -> bool:
-        """True iff adding m would put it in an induced forbidden copy."""
-        self.push(m)
-        blocked = has_pinned_copy(forbidden, self.up, self.down, len(self.members) - 1)
-        self.pop()
-        return blocked
+        """True iff adding m would put it in an induced forbidden copy: the
+        pinned test on the rows with m's two appended, which writes no row
+        (the other rows do not count m, see ``has_pinned_copy``)."""
+        above, below = self.relations(m)
+        return has_pinned_copy(forbidden, [*self.up, above], [*self.down, below], len(self.members))
 
 
-def iter_induced_embeddings(members: tuple[int, ...], P: Poset):
+def iter_induced_embeddings(members: tuple[int, ...], P: Poset, rows: InclusionRows | None = None):
     """Yield one injective map per induced copy of P among the listed member
-    masks, preserving and reflecting proper inclusion (``induced_copies``)."""
-    rows = InclusionRows(members)
+    masks, preserving and reflecting proper inclusion (``induced_copies``),
+    on ``rows``, the ``InclusionRows`` of the members, if given."""
+    if rows is None:
+        rows = InclusionRows(members)
     yield from induced_copies(P, rows.up, rows.down)
 
 
 def contains_induced_copy(F: SetFamily, P: Poset) -> EmbeddingWitness | None:
     """First induced copy of P in F (as member indices), or None."""
-    return next(iter_induced_embeddings(F.members, P), None)
+    return next(iter_induced_embeddings(F.members, P, F._rows), None)
 
 
 def check_forbidden(forbidden) -> tuple[Poset, ...]:
@@ -250,7 +261,7 @@ def _free_representatives(F: SetFamily, forbidden, classes):
             f"over the cap of {SWEEP_CAP}"
         )
     have = set(F.members)
-    rows = InclusionRows(F.members)
+    rows = F._rows
     for s in orbit_representatives(classes):
         if s not in have and not rows.blocks(s, forbidden):
             yield s
@@ -285,7 +296,8 @@ def is_induced_saturated(F: SetFamily, forbidden: list[Poset]) -> SaturationRepo
 
     The missing sets are tested one per orbit of the twin-class symmetry,
     at the orbit's smallest mask and in ascending order, so ``addable`` is
-    the smallest addable mask.  A free family whose twin classes give more
+    the smallest addable mask.  The freeness check and the sweep read the
+    same member rows, built once per family object and never written.  A free family whose twin classes give more
     than ``SWEEP_CAP`` orbits raises TooLarge.
     """
     forbidden = check_forbidden(forbidden)

@@ -248,9 +248,10 @@ def has_legs(P: Poset) -> LegsWitness | None:
 class _Plan:
     """A placement plan: the elements in placement order, and per step the
     earlier steps the element lies below, lies above and is incomparable
-    to, its up- and down-degree, and the earlier steps whose targets must
-    lie below its target (see ``_plan``).  Its two kernels are the matcher:
-    each is compiled on first use and kept with the plan (``_kernel``)."""
+    to, the floors of its target's up- and down-degree, and the earlier
+    steps whose targets must lie below its target (see ``_plan``).  Its two
+    kernels are the matcher: each is compiled on first use and kept with
+    the plan (``_kernel``)."""
 
     def __init__(self, order: tuple[int, ...], steps: tuple):
         self.order, self.steps = order, steps
@@ -276,14 +277,24 @@ def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()) -> _Plan:
     order (``first``, if given, then most relations to the elements already
     placed, then most relations, then lowest index), and per step the
     earlier steps the element lies below, lies above and is incomparable
-    to, its up- and down-degree, and the earlier steps whose targets must
-    lie below its target: a pair (a, b) in ``less``, with a placed before
-    b, puts the target of a below the target of b."""
+    to, the floors of its target's up- and down-degree, and the earlier
+    steps whose targets must lie below its target: a pair (a, b) in
+    ``less``, with a placed before b, puts the target of a below the target
+    of b.
+
+    A floor is the element's up- or down-degree, not counting ``first``:
+    the pinned target's own rows are exact, but the other targets' rows
+    need not count it (``has_pinned_copy``), so a target below the pin is
+    asked for one target above it fewer, and one above the pin for one
+    below it fewer.  A floor only prunes, and the candidates leave the pin
+    out by their term for step 0, so the kernel is exact either way."""
     p = len(up)
     down = _down_rows(up)
     rel = [up[a] | down[a] for a in range(p)]
     order = [] if first is None else [first]
     placed = sum(1 << a for a in order)
+    # the pin, left out of every floor
+    others = ~placed
     while len(order) < p:
         a = max((b for b in range(p) if not placed >> b & 1),
                 key=lambda b: ((rel[b] & placed).bit_count(), rel[b].bit_count(), -b))
@@ -295,7 +306,7 @@ def _plan(up: tuple[int, ...], first: int | None, less: tuple = ()) -> _Plan:
         above = tuple(s for s in range(t) if down[a] >> order[s] & 1)
         apart = tuple(s for s in range(t) if not rel[a] >> order[s] & 1)
         after = tuple(s for s in range(t) if (order[s], a) in less)
-        steps.append((below, above, apart, up[a].bit_count(), down[a].bit_count(), after))
+        steps.append((below, above, apart, (up[a] & others).bit_count(), (down[a] & others).bit_count(), after))
     return _Plan(tuple(order), tuple(steps))
 
 
@@ -319,7 +330,7 @@ def _kernel_source(plan: _Plan, leaf: str) -> str:
     b<s>)`` over those it is incomparable to (``b<s>`` left out where an
     order constraint drops target s) and ``-2 << j<s>`` for each s whose
     target must lie below its own, so every target already used is left
-    out; the degree tests appear only where a degree is nonzero.  The
+    out; the degree tests appear only where a floor is nonzero.  The
     source interpolates only the plan's ints.  To read one:
 
         print(_kernel_source(_copy_plan(catalog("diamond").up), "copies"))
@@ -458,7 +469,10 @@ def has_pinned_copy(forbidden, up, down, pinned: int) -> bool:
     """True iff some poset in ``forbidden`` has an induced copy through
     target ``pinned`` among the targets ordered by ``up`` / ``down`` (as for
     ``induced_copies``).  This is the one blocked test: adding a set to a
-    free family breaks freeness iff the set lies in such a copy.
+    free family breaks freeness iff the set lies in such a copy.  The rows
+    of the other targets may leave out the pinned one (the pinned plans'
+    floors do not count the pin), so a set is tested on the family's rows
+    with its own two appended, and no row is written.
 
     An automorphism of P carries a copy with the pin at element a to one
     with the pin at any element of a's orbit, so the pin is tried as one

@@ -341,13 +341,14 @@ _ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & b) for v in range(16)]
 def certified_bounds(n: int, forbidden) -> SatStarResult:
     """Bounds on the minimum saturated family size known without search.
     Lower: the legs certificate of the single forbidden poset P, else of
-    dual(P), at n >= 3, else 1, trivial.  Upper: the
-    smallest, and earliest on ties, of lex greedy, the X, Y and wedge
-    constructions and their complements that ``is_induced_saturated``
-    accepts.  Above 2^n = ``SWEEP_CAP`` greedy and the wedges (2^(ell+1)
-    members) are left out, {∅} (empty) and ∅ plus the singletons (star)
-    and their complements come first in greedy's place, and TooLarge is
-    raised when no candidate is saturated."""
+    dual(P), at n >= 3, else 1, trivial.  Upper: the first of the X, Y and
+    wedge constructions and their complements that meets the lower bound
+    and that ``is_induced_saturated`` accepts, else the smallest, and
+    earliest on ties, of lex greedy and those constructions.  Above 2^n =
+    ``SWEEP_CAP`` greedy and the wedges (2^(ell+1) members) are left out,
+    {∅} (empty) and ∅ plus the singletons (star) and their complements
+    come first in greedy's place, and TooLarge is raised when no candidate
+    is saturated."""
     return _certified_bounds(n, forbidden, False)
 
 
@@ -365,21 +366,32 @@ def _certified_bounds(n: int, forbidden, settle: bool) -> SatStarResult:
     cert = legs_lower_bound(P, n) or legs_lower_bound(dual(P), n) if len(forbidden) == 1 and n >= 3 else None
     lower, lower_kind = (cert.bound, cert.kind) if cert else (1, "trivial")
     swept = 1 << n <= SWEEP_CAP
-    if swept and not settle:
-        witness = greedy_saturate(n, forbidden)
-        upper_kind, size, named = "greedy", len(witness), []
-    else:
-        witness, upper_kind, size = None, None, lower + 1 if settle else math.inf
-        named = [("empty", SetFamily.of(n, [0])), ("star", SetFamily.of(n, [0] + [1 << j for j in range(n)]))]
-    named += [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
-    # the wedge of ell has more than 2^(ell+1) members, too many from 2^(ell+1) >= size on
-    named += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept and 2 << ell < size]
-    named += [(f"complement:{kind}", complement_family(F)) for kind, F in named]
-    for kind, F in named:
-        if len(F) < size and is_induced_saturated(F, forbidden).saturated:
-            witness, upper_kind, size = F, kind, len(F)
-    if witness is None and settle:
+    greedy = swept and not settle
+
+    def named(most: int):
+        """The candidate constructions with fewer than ``most`` members."""
+        out = [] if greedy else [("empty", SetFamily.of(n, [0])),
+                                 ("star", SetFamily.of(n, [0] + [1 << j for j in range(n)]))]
+        out += [("x_upper", x_upper_family(n)), ("y_upper", y_upper_family(n))] if n >= 3 else []
+        # the wedge of ell has more than 2^(ell+1) members
+        out += [(f"wedge_upper:{ell}", wedge_upper_family(n, ell)) for ell in range(2, n - 1) if swept and 2 << ell < most]
+        out += [(f"complement:{kind}", complement_family(F)) for kind, F in out]
+        return [(kind, F) for kind, F in out if len(F) < most]
+
+    # a saturated family meeting the lower bound settles sat*, and no scan
+    # can do better, so greedy runs only when no construction does
+    for kind, F in named(lower + 1):
+        if is_induced_saturated(F, forbidden).saturated:
+            return SatStarResult(n, forbidden, lower, lower_kind, len(F), kind, F, True)
+    if settle:
         raise TooLarge(f"no construction meets the lower bound {lower} at n = {n}, over the search cap of {SEARCH_CAP}")
+    witness, upper_kind, size = None, None, math.inf
+    if greedy:
+        witness = greedy_saturate(n, forbidden)
+        upper_kind, size = "greedy", len(witness)
+    for kind, F in named(size):
+        if lower < len(F) < size and is_induced_saturated(F, forbidden).saturated:
+            witness, upper_kind, size = F, kind, len(F)
     if witness is None:
         raise TooLarge(f"no construction is saturated at n = {n}, and greedy scans at most {SWEEP_CAP} sets")
     return SatStarResult(n, forbidden, lower, lower_kind, size, upper_kind, witness, lower >= size)
@@ -401,8 +413,10 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     ``blocked_by``, the masks that one member blocks together with the
     others.  Building the table keeps the time limit, and raises TooLarge
     as soon as the copies hold more than ``SWEEP_CAP`` memberships (N at
-    n = 7 and the diamond at n = 8 do).  The cube's rows and lanes are
-    built once per n (and closure under duals) and shared by every search.
+    n = 7 and the diamond at n = 8 do).  A table with no copy settles sat*
+    at 2^n before the first node: 2^[n] is then free, so it is the only
+    maximal family.  The cube's rows and lanes are built once per n (and
+    closure under duals) and shared by every search.
 
     Each node carries its blocked masks exactly: the members plus every
     mask lying in a copy with members only (adding it would complete that
@@ -614,6 +628,9 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
             table = _CopyTable(forbidden, cube, deadline)
         finally:
             build_seconds = time.monotonic() - t0
+        if not table.copies:
+            # 2^[n] itself is free, so it is the only maximal family
+            proven, proven_kind = total, "exhaustive"
         for k in range(proven, upper):
             t0 = time.monotonic()
             try:

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: permutation scans and full
 enumeration with no pruning, no bit tricks beyond mask containment, and no
-code shared with the library internals.  Five exceptions: networkx VF2,
+code shared with the library internals.  Six exceptions: networkx VF2,
 an independent matcher used only in tests; ``plain_max_tc_free``, a plain
 branch-and-bound that reaches further than full enumeration and keeps the
 library's transitive-chord test (itself checked against
@@ -11,8 +11,12 @@ library's transitive-chord test (itself checked against
 ``int`` and range checks per line and no lookup table, which build the
 library's ``SetFamily`` and ``Digraph`` and raise its ``ParseError``; and
 ``all_posets``, which deduplicates its relations with the library's
-``isomorphic`` (its class counts are pinned to the known ones).  The
-library is checked against these, never the other way around.
+``isomorphic`` (its class counts are pinned to the known ones); and the
+``counted_*`` oracles, the saturation sweep over every missing mask and
+lex greedy, which keep the library's matcher (``has_pinned_copy`` and
+``iter_induced_embeddings``) but build their own rows, every row counting
+the tested set, in place of ``InclusionRows``.  The library is checked
+against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import pytest
 from posat import Digraph, Poset, SetFamily, isomorphic
 from posat.digraph import _transitive_chord
 from posat.errors import ParseError
+from posat.family import iter_induced_embeddings
+from posat.poset import has_pinned_copy
 
 
 def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | None = None) -> bool:
@@ -48,6 +54,60 @@ def brute_has_induced_copy(members: tuple[int, ...], P: Poset, pinned: int | Non
         if ok:
             return True
     return False
+
+
+def counted_rows(members) -> tuple[list[int], list[int]]:
+    """The proper-inclusion rows of the members, pair by pair: bit i of
+    ``up[j]`` / ``down[j]`` set iff member i is a proper superset / subset
+    of member j."""
+    up = [sum(1 << i for i, y in enumerate(members) if y != x and x & ~y == 0) for x in members]
+    down = [sum(1 << i for i, y in enumerate(members) if y != x and y & ~x == 0) for x in members]
+    return up, down
+
+
+def counted_blocks(members, rows, s: int, forbidden) -> bool:
+    """The blocked test with s pushed the old way, every row counting it:
+    the members' ``rows`` (``counted_rows``) are copied, s is appended and
+    set in the rows of the members it contains or lies in, and the pinned
+    query runs through s."""
+    up, down = list(rows[0]), list(rows[1])
+    bit, above, below = 1 << len(members), 0, 0
+    for i, x in enumerate(members):
+        if s & ~x == 0:
+            above |= 1 << i
+            down[i] |= bit
+        elif x & ~s == 0:
+            below |= 1 << i
+            up[i] |= bit
+    return has_pinned_copy(forbidden, up + [above], down + [below], len(members))
+
+
+def counted_report(F: SetFamily, forbidden) -> tuple:
+    """(saturated, forbidden_copy, addable) of ``is_induced_saturated`` from
+    the old-style parts: the first copy of ``iter_induced_embeddings`` on
+    rows built for the call, then every missing mask in ascending order,
+    each with ``counted_blocks``."""
+    for idx, P in enumerate(forbidden):
+        w = next(iter_induced_embeddings(F.members, P), None)
+        if w is not None:
+            return False, (idx, w.mapping), None
+    rows = counted_rows(F.members)
+    have = set(F.members)
+    for s in range(1 << F.n):
+        if s not in have and not counted_blocks(F.members, rows, s, forbidden):
+            return False, None, s
+    return True, None, None
+
+
+def counted_greedy(n: int, forbidden) -> tuple[int, ...]:
+    """The members of lex greedy over 2^[n], each mask tested with
+    ``counted_blocks`` on the masks kept so far."""
+    kept, rows = [], ([], [])
+    for s in range(1 << n):
+        if not counted_blocks(kept, rows, s, forbidden):
+            kept.append(s)
+            rows = counted_rows(kept)
+    return tuple(kept)
 
 
 @pytest.fixture(scope="module")

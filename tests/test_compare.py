@@ -1,5 +1,6 @@
-"""tools/compare.py: the frontier summary and the line count; tools/frontier.py:
-the stats records of both kinds."""
+"""tools/compare.py: the frontier summary, the saturation agreement and the
+line count; tools/frontier.py: the stats records of both kinds;
+tools/saturation.py: its cases."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ _spec.loader.exec_module(compare)
 _spec = importlib.util.spec_from_file_location("frontier", ROOT / "tools" / "frontier.py")
 frontier = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(frontier)
+_spec = importlib.util.spec_from_file_location("saturation", ROOT / "tools" / "saturation.py")
+saturation_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(saturation_tool)
 
 
 def bench15_passes() -> list[list[dict]]:
@@ -129,12 +133,45 @@ def test_main_alternates_which_side_runs_first(monkeypatch, tmp_path):
         calls.append(("frontier", checkout.name))
         return [{"poset": "fork", "n": 4, "lower": 5, "upper": 5, "exact": True, "witness": [0], "seconds": 1.0}]
 
+    def fake_saturation(checkout):
+        calls.append(("saturation", checkout.name))
+        return [{"n": 3, "family": "empty", "poset": "chain(2)", "saturated": True}]
+
     monkeypatch.setattr(compare, "perfbench", fake_perfbench)
     monkeypatch.setattr(compare, "frontier", fake_frontier)
+    monkeypatch.setattr(compare, "saturation", fake_saturation)
     parent, change = tmp_path / "parent", tmp_path / "change"
     compare.main([str(parent), str(change), "--runs", "3", "--out", str(tmp_path / "bench.json")])
     order = ["parent", "change", "change", "parent", "parent", "change"]
-    assert calls == [("perfbench", side) for side in order] + [("frontier", side) for side in order]
+    assert calls == ([("saturation", "parent"), ("saturation", "change")] + [("perfbench", side) for side in order]
+                     + [("frontier", side) for side in order])
+    assert json.loads((tmp_path / "bench.json").read_text())["saturation_agreement"] == {"cases": 1, "differing": 0}
+
+
+def test_saturation_agreement_counts_the_differing_cases(monkeypatch, tmp_path):
+    case = {"n": 3, "family": "empty", "poset": "chain(2)", "saturated": True, "addable": None}
+    other = dict(case, saturated=False, addable=1)
+    assert compare.saturation_agreement([case, other], [case, other]) == {"cases": 2, "differing": 0}
+    assert compare.saturation_agreement([case, other], [case, case]) == {"cases": 2, "differing": 1}
+    assert compare.saturation_agreement([case, other], [case]) == {"cases": 2, "differing": 1}
+    # main fails before any benchmark run, with the report written
+    sides = {"parent": [case, other], "change": [case, case]}
+    monkeypatch.setattr(compare, "saturation", lambda checkout: sides[checkout.name])
+    monkeypatch.setattr(compare, "perfbench", lambda *args: pytest.fail("a benchmark ran"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match="1 of 2 saturation reports differ"):
+        compare.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out)])
+    assert json.loads(out.read_text())["saturation_agreement"] == {"cases": 2, "differing": 1}
+
+
+def test_saturation_tool_prints_one_record_per_case():
+    records = list(saturation_tool.cases(3, 4))
+    # 4 constructions and their complements at n = 3, the wedge of 2 too at n = 4
+    assert len(records) == (8 + 10) * 17
+    assert records[0] == {"n": 3, "family": "empty", "poset": "chain(2)", "saturated": True,
+                          "forbidden_copy": None, "addable": None}
+    x = next(r for r in records if (r["n"], r["family"], r["poset"]) == (4, "x_upper", "X"))
+    assert x["saturated"] and list(saturation_tool.cases(3, 4)) == records
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from posat import (
     SetFamily,
     addable_sets,
+    isomorphism_classes,
     blow_up,
     catalog,
     catalog_small,
@@ -58,7 +59,13 @@ from posat.io import format_family, parse_family
 from posat.poset import _plan, has_pinned_copy
 from posat.search import digraph_lower_bound_check
 
-from conftest import brute_has_induced_copy, brute_singleton_difference_pairs, vf2_embeddings
+from conftest import (
+    brute_has_induced_copy,
+    brute_singleton_difference_pairs,
+    counted_report,
+    counted_rows,
+    vf2_embeddings,
+)
 
 
 def families(max_n=5, max_members=10):
@@ -204,21 +211,18 @@ def test_pinned_embeddings_are_the_unpinned_ones_using_the_pin(F, P):
         assert has_pinned_copy([P], rows.up, rows.down, j) == any(j in m for m in unpinned)
 
 
-@given(st.lists(st.integers(0, 31), unique=True, max_size=10), st.data())
-def test_pushed_and_popped_rows_equal_rows_built_from_scratch(masks, data):
+@given(st.lists(st.integers(0, 31), unique=True, max_size=10))
+def test_pushed_rows_are_the_proper_inclusions(masks):
     rows = InclusionRows()
-    kept = []
     for m in masks:
+        above, below = rows.relations(m)
         rows.push(m)
-        kept.append(m)
-        if data.draw(st.booleans()):
-            assert rows.pop() == kept.pop()
-    fresh = InclusionRows(kept)
-    assert (rows.members, rows.up, rows.down) == (fresh.members, fresh.up, fresh.down)
-    assert rows.members == kept
-    for a, b in proper_subset_pairs(kept):
+        assert (rows.up[-1], rows.down[-1]) == (above, below)
+    assert rows.members == masks
+    assert (rows.up, rows.down) == counted_rows(masks)
+    for a, b in proper_subset_pairs(masks):
         assert rows.up[a] >> b & 1 and rows.down[b] >> a & 1
-    assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(kept))
+    assert sum(r.bit_count() for r in rows.up) == len(proper_subset_pairs(masks))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -254,6 +258,37 @@ def test_orbit_pinned_query_matches_every_placement(F, P):
     rows = InclusionRows(F.members)
     for j in range(len(F)):
         assert bool(has_pinned_copy([P], rows.up, rows.down, j)) == brute_has_induced_copy(F.members, P, pinned=j)
+
+
+CLASSES = isomorphism_classes(catalog_small(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(families(max_n=4, max_members=6), st.data())
+def test_pinned_query_on_an_extra_row_the_others_leave_out(F, data):
+    # the pin s as a last row that the members' rows do not count: the
+    # pinned plans' floors leave the pin out, so the query stays exact,
+    # and blocks writes no row
+    outside = [m for m in range(1 << F.n) if m not in F.members]
+    if not outside:
+        return
+    s = data.draw(st.sampled_from(outside))
+    rows = InclusionRows(F.members)
+    before = (list(rows.up), list(rows.down))
+    above, below = rows.relations(s)
+    for P in CLASSES:
+        want = brute_has_induced_copy(F.members + (s,), P, pinned=len(F))
+        assert has_pinned_copy([P], [*rows.up, above], [*rows.down, below], len(F)) == want, P
+        assert rows.blocks(s, [P]) == want, P
+    assert (rows.up, rows.down) == before and rows.members == list(F.members)
+
+
+def test_blocks_counts_the_pin_its_rows_leave_out():
+    # with the floor not lowered, the up row of ∅ in F = {∅}, empty, would
+    # reject ∅ as the target below the pin {1}
+    rows = InclusionRows([0])
+    assert rows.blocks(1, [catalog("chain", 2)])
+    assert (rows.members, rows.up, rows.down) == ([0], [0], [0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,6 +418,26 @@ def test_orbit_sweep_matches_the_full_sweep(F, P):
     report = is_induced_saturated(F, [P])
     if report.forbidden_copy is None:
         assert report.addable == (want[0] if want else None)
+
+
+def constructions(n):
+    """Every family ``certified_bounds`` tries at n >= 3 but greedy's."""
+    named = [SetFamily.of(n, [0]), SetFamily.of(n, [0] + [1 << j for j in range(n)]),
+             x_upper_family(n), y_upper_family(n)] + [wedge_upper_family(n, ell) for ell in range(2, n - 1)]
+    return named + [complement_family(F) for F in named]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_saturation_reports_match_the_counted_sweep_on_the_constructions(n):
+    for F in constructions(n):
+        for P in CLASSES:
+            assert tuple(is_induced_saturated(F, [P])) == counted_report(F, [P]), (F, P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_n=6, max_members=10), st.lists(st.sampled_from(CLASSES), min_size=1, max_size=2))
+def test_saturation_reports_match_the_counted_sweep(F, forbidden):
+    assert tuple(is_induced_saturated(F, forbidden)) == counted_report(F, forbidden)
 
 
 def test_sweep_is_capped_by_the_orbit_count():

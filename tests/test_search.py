@@ -33,7 +33,13 @@ from posat.family import InclusionRows, SaturationReport
 from posat.poset import EmbeddingWitness, LegsWitness, has_pinned_copy, induced_copies
 from posat.search import SatStarResult, TranspositionLanes, _CopyTable, _deepen, certified_bounds
 
-from conftest import all_posets, brute_first_saturated_n3, brute_has_induced_copy, brute_sat_star_n3
+from conftest import (
+    all_posets,
+    brute_first_saturated_n3,
+    brute_has_induced_copy,
+    brute_sat_star_n3,
+    counted_greedy,
+)
 
 
 # -- greedy -------------------------------------------------------------------
@@ -52,6 +58,15 @@ def test_greedy_is_the_ascending_scan():
         for s in range(8):
             below = tuple(m for m in F.members if m < s)
             assert (s in F.members) == (not brute_has_induced_copy(below + (s,), P, pinned=len(below))), (P, s)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_greedy_matches_the_counted_scan(n):
+    # the blocked test writes no row, so greedy pushes only what it keeps
+    lists = [[P] for P in isomorphism_classes(catalog_small(5))]
+    lists.append([catalog("chain", 3), catalog("antichain", 3)])
+    for forbidden in lists:
+        assert greedy_saturate(n, forbidden).members == counted_greedy(n, forbidden), forbidden
 
 
 def test_greedy_sweep_is_capped():
@@ -313,7 +328,7 @@ def test_all_posets_counts_the_classes():
 
 def test_the_search_keeps_no_member_rows(monkeypatch):
     # the DFS runs on the fixed rows of the cube: every mask is pushed once,
-    # in order, when the rows are built, and nothing is popped
+    # in order, when the rows are built
     P = catalog("N")
     bounds = search._greedy_bounds(4, [P])
     pushed = []
@@ -323,14 +338,10 @@ def test_the_search_keeps_no_member_rows(monkeypatch):
         pushed.append(m)
         push(self, m)
 
-    def pop(self):
-        raise AssertionError("the search popped a member")
-
     # the cube's rows are built once per (n, closed): clear them so this
     # search builds its own
     search._cube.cache_clear()
     monkeypatch.setattr(InclusionRows, "push", counting_push)
-    monkeypatch.setattr(InclusionRows, "pop", pop)
     res = _deepen(4, [P], bounds)
     assert res.exact and res.lower_bound == 8 and res.witness == bounds.witness
     assert pushed == list(range(16))
@@ -373,7 +384,9 @@ EXACT_WITNESSES = {
     ('Y', 4): ('exhaustive', 'y_upper', (0, 7, 11, 13, 14, 15)),
     ('Yinv', 3): ('exhaustive', 'complement:y_upper', (0, 1, 2, 4, 7)),
     ('Yinv', 4): ('exhaustive', 'complement:y_upper', (0, 1, 2, 4, 8, 15)),
-    ('X', 3): ('double_legs', 'greedy', (0, 1, 2, 3, 4, 5, 6, 7)),
+    # x_upper(3) is the whole cube, greedy's family, and meets the double
+    # legs bound 8, so it settles sat* before greedy runs
+    ('X', 3): ('double_legs', 'x_upper', (0, 1, 2, 3, 4, 5, 6, 7)),
     ('X', 4): ('double_legs', 'x_upper', (0, 1, 2, 4, 7, 8, 11, 13, 14, 15)),
     ('wedge(1)', 3): ('legs', 'greedy', (0, 1, 2, 4)),
     ('wedge(1)', 4): ('legs', 'greedy', (0, 1, 2, 4, 8)),
@@ -451,6 +464,15 @@ def test_the_search_tree_is_pinned(name, n, tree, witness):
     st = res.stats
     assert res.exact and res.witness.members == witness
     assert (st.nodes, st.leaves, st.symmetry_prunes) == tree
+
+
+@pytest.mark.parametrize("name, param", [("chain", 5), ("antichain", 4), ("antichain", 5), ("wedge", 3), ("vee", 3)])
+def test_a_cube_with_no_copy_settles_without_a_search(name, param):
+    # 2^[3] holds no copy, so it is free and the only maximal family
+    res = exact_sat_star(3, [catalog(name, param)])
+    assert res.exact and res.lower_bound == res.upper_bound == 8 and res.lower_kind == "exhaustive"
+    assert res.witness.members == tuple(range(8))
+    assert (res.stats.nodes, res.stats.copies, res.stats.level_seconds) == (0, 0, ())
 
 
 def test_antichain5_is_exact_at_n5():
@@ -561,9 +583,8 @@ def test_blocked_by_agrees_with_the_pinned_query(n):
                 want = 0
                 for m in range(total):
                     if not members >> m & 1:
-                        rows.push(m)
-                        want |= has_pinned_copy(forbidden, rows.up, rows.down, rows.members.index(c)) << m
-                        rows.pop()
+                        grown = InclusionRows(rows.members + [m])
+                        want |= has_pinned_copy(forbidden, grown.up, grown.down, rows.members.index(c)) << m
                 got = table.blocked_by(c, members)
                 assert got == want, (forbidden, c, members)
                 before = cube_blocked(forbidden, total, members & ~(1 << c))

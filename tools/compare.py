@@ -14,8 +14,12 @@ task that both sides settle exactly, ``frontier_agreement`` records
 whether they returned the same witness, and, when both settle it by a
 search, whether every such search walked the same tree (the same nodes,
 leaves and symmetry prunes in its stats) and whether every such search has
-the same stats but the seconds.  The report also gives each
-side's line count of ``src/posat/*.py``.  One process runs at a time.
+the same stats but the seconds.  Before the runs, ``tools/saturation.py``
+of this checkout runs once on each checkout's ``src``, and
+``saturation_agreement`` gives its number of cases and of cases whose
+reports differ: the script fails, with the report written, when any
+differ.  The report also gives each side's line count of
+``src/posat/*.py``.  One process runs at a time.
 
     python3 tools/compare.py PARENT CHANGE --seeds 41 1009 --out BENCH.json
 """
@@ -23,6 +27,7 @@ side's line count of ``src/posat/*.py``.  One process runs at a time.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -32,6 +37,7 @@ import sys
 from pathlib import Path
 
 FRONTIER = Path(__file__).resolve().parent / "frontier.py"
+SATURATION = Path(__file__).resolve().parent / "saturation.py"
 METRICS = ("wall_s", "solved_frac", "setup_s", "peak_rss_mb", "failed")
 
 
@@ -52,10 +58,27 @@ def perfbench(checkout: Path, seed: int, seconds: float) -> dict:
     return result
 
 
-def frontier(checkout: Path) -> list[dict]:
+def tool_records(script: Path, checkout: Path) -> list[dict]:
+    """The JSON lines that one of this checkout's tools prints when it runs
+    on the ``src`` of ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, str(FRONTIER)], check=True, capture_output=True, text=True, env=env).stdout
+    out = subprocess.run([sys.executable, str(script)], check=True, capture_output=True, text=True, env=env).stdout
     return [json.loads(line) for line in out.splitlines()]
+
+
+def frontier(checkout: Path) -> list[dict]:
+    return tool_records(FRONTIER, checkout)
+
+
+def saturation(checkout: Path) -> list[dict]:
+    return tool_records(SATURATION, checkout)
+
+
+def saturation_agreement(parent: list[dict], change: list[dict]) -> dict:
+    """The number of saturation cases and of those whose records differ
+    between the sides (a case that one side lacks differs)."""
+    differing = sum(a != b for a, b in itertools.zip_longest(parent, change))
+    return {"cases": max(len(parent), len(change)), "differing": differing}
 
 
 def frontier_medians(passes: list[list[dict]]) -> list[dict]:
@@ -149,6 +172,11 @@ def main(argv=None) -> None:
         "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         "perfbench": {},
     }
+    agreement = saturation_agreement(*(saturation(checkout) for checkout in sides.values()))
+    report["saturation_agreement"] = agreement
+    if agreement["differing"]:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        raise SystemExit(f"{agreement['differing']} of {agreement['cases']} saturation reports differ")
     for seed in args.seeds:
         runs = {side: [] for side in sides}
         for r in range(args.runs):
