@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -55,9 +56,14 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _default_time_limit() -> float | None:
-    raw = os.environ.get("POSAT_TIME_LIMIT_SECS")
-    return float(raw) if raw else None
+def _seconds(text: str) -> float:
+    """A time limit: a finite number of seconds >= 0."""
+    try:
+        if 0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number of seconds >= 0: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poset", action="append", required=True)
     p.add_argument("--bounds", action="store_true", help="certified bounds only, no search")
-    p.add_argument("--time-limit", type=float, default=_default_time_limit())
+    # a string default goes through ``type`` only when satstar runs
+    p.add_argument("--time-limit", type=_seconds, default=os.environ.get("POSAT_TIME_LIMIT_SECS") or None)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--stats", action="store_true", help="print the search counters after the result")
     g.add_argument("--json", action="store_true", help="print the result and the search counters as one JSON object")

@@ -45,19 +45,16 @@ class SearchConfig(NamedTuple):
 
 
 class SearchStats(NamedTuple):
-    """The work of one exact search: the DFS nodes visited (the families
-    of the target size tested for maximality included), those families
-    (leaves), the children the symmetry lanes pruned, the nodes pruned by
-    the lookahead on the dead masks (at every node before ``blocked_by``,
-    and after it at need = 1 or need >= p - 1, p the largest forbidden
-    size; leaves rejected as not maximal included), the copy-table queries
-    (``small_copy_through`` calls of the lookahead and ``blocked_by``
-    calls, one per child and one per mask a leaf test reads), the seconds
-    spent on each target size k searched, as (k, seconds) pairs, the
-    distinct forbidden copies in 2^[n] the copy table indexes (0 when the
-    time limit fell before it was built), the seconds its build took, and
-    the nodes pruned, or whose children were cut, by the lookahead on
-    every unblocked mask after ``blocked_by`` at 2 <= need < p - 1."""
+    """The work of one exact search: the DFS nodes visited (leaves
+    included), the leaves (nodes with no member left to add, each tested
+    for maximality), the children the symmetry lanes pruned, the nodes the
+    lookahead pruned plus the leaves that are not maximal, the copy-table
+    queries (``small_copy_through`` calls of the lookahead and one
+    ``blocked_by`` call per node with a member), the seconds spent on each
+    target size k searched, as (k, seconds) pairs, the distinct forbidden
+    copies in 2^[n] the copy table indexes (0 when the time limit fell
+    before it was built), the seconds its build took, and the nodes whose
+    children the lookahead cut."""
 
     nodes: int
     leaves: int
@@ -101,7 +98,7 @@ class _TimeUp(Exception):
 
 
 # The largest ground set the exact search starts on when the certified bounds
-# stay apart: the tree grows with the 2^n masks, and every leaf checks them all.
+# stay apart: the tree grows with the 2^n masks.
 SEARCH_CAP = 8
 
 
@@ -435,34 +432,28 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     maximal family, is no larger than its image, and so is every prefix
     of it.
 
-    Before its children a node runs the lookahead.  Its live masks are
-    the members plus every unblocked mask at or above the cursor; its
-    leaves are chosen | R with R a set of ``need`` live masks.  In a
-    maximal leaf every unblocked non-member x outside R is blocked by a
-    copy through x whose other masks lie in chosen | R: a copy inside the
-    live masks plus x with at most ``need`` masks outside the members and
-    x, a small live copy (from need = p - 1 on, p the largest forbidden
-    size, every copy through x is small).  So a dead x (unblocked, below
-    the cursor, never in R) with no small live copy prunes the node, and a
-    live x with none must be in R: more than ``need`` such x prune the
-    node, and otherwise the next member, the lowest of R, lies at or below
-    the lowest of them, so the children above it go.  Only subtrees with no
-    maximal leaf go, so the witness and the bounds stay the same.  The dead
-    masks are tested before the node's own blocked masks are known, and
-    again after only when those remove a live mask; live masks are tested
-    only at 2 <= need < p - 1 (a node one member short asks for any copy).
-    The query is ``small_copy_through`` on the live masks plus x, and each
-    mask watches the targets of the copy last found through it (the
-    two-watched-literal idea of Moskewicz et al., "Chaff", DAC 2001): it is
-    queried again only once a target is no longer live or the copy has
-    more than the count allows outside the members.  A watch is never
-    restored on backtrack, as every use checks it.  A node one member
-    short tests its leaves together: the family plus m is maximal iff, for
-    every other unblocked mask x, m lies in a copy through x with members
-    only, so the leaves left are the candidates intersected with
-    ``blocked_by(x, chosen | x)`` for every such x (the intersection is
-    what restricts the answer to the candidates), lowest x first, which
-    stops as soon as none is left.
+    A node with no member left to add is a leaf, maximal iff it blocks every
+    mask.  Any other node runs the lookahead before its children.  Its live
+    masks are the members plus every unblocked mask at or above the cursor;
+    its leaves are chosen | R with R a set of ``need`` live masks.  In a
+    maximal leaf every unblocked non-member x outside R is blocked by a copy
+    through x whose other masks lie in chosen | R: a copy inside the live
+    masks plus x with at most ``need`` masks outside the members and x, a
+    small live copy.  So a dead x (unblocked, below the cursor, never in R)
+    with no small live copy prunes the node, and a live x with none must be
+    in R: more than ``need`` such x prune the node, and otherwise the next
+    member, the lowest of R, lies at or below the lowest of them, so the
+    children above it go.  Only subtrees with no maximal leaf go, so the
+    witness and the bounds stay the same.  Every unblocked mask is tested
+    below need = p - 1, p the largest forbidden size, and only the dead ones
+    from there on (every copy through x is small there; testing the live
+    masks too is sound, and was measured slower).  The query is
+    ``small_copy_through`` on the live masks plus x, and each mask watches
+    the targets of the copy last found through it (the two-watched-literal
+    idea of Moskewicz et al., "Chaff", DAC 2001): it is queried again only
+    once a target is no longer live or the copy has more than the count
+    allows outside the members.  A watch is never restored on backtrack, as
+    every use checks it.
 
     On hitting the time limit, in the table build or in the search, the
     result carries the best sound bounds so far with ``exact=False``.
@@ -503,7 +494,8 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
     # test queries
     watch = [1 << total] * total
     # a copy has at most p - 1 masks besides x, so from need = p - 1 on
-    # every copy through x is small
+    # every copy through x is small, and the lookahead asks only the dead
+    # masks (see exact_sat_star)
     p = max(P.size for P in forbidden)
     nodes = leaves = symmetry_prunes = lookahead_prunes = queries = need_prunes = 0
     build_seconds = 0.0
@@ -534,42 +526,27 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
         return must
 
     def dfs(start: int, need: int, chosen: int, blocked: int, images: int, marks: int) -> int | None:
-        """The lex-first maximal free family of ``need`` > 0 more members
-        above ``start`` extending ``chosen``, as a bitset of masks, or None;
-        ``blocked`` is the members plus every mask the members below the
-        highest one, start - 1, block."""
+        """The lex-first maximal free family of ``need`` more members above
+        ``start`` extending ``chosen`` (itself, at need = 0, iff maximal),
+        as a bitset of masks, or None; ``blocked`` is the members plus every
+        mask the members below the highest one, start - 1, block."""
         nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries, need_prunes
         _check_deadline(deadline)
         nodes += 1
-        # a maximal leaf blocks every unblocked non-member outside its last
-        # need members by a small live copy (see exact_sat_star).  The masks
-        # the highest member blocks only shrink the live ones, so the dead
-        # masks are tested first without them (a prune then is a prune with
-        # them, and costs no blocked_by), and again only when they remove a
-        # live mask; below need = p - 1 the second test takes every
-        # unblocked mask
-        live = chosen | full >> start << start & ~blocked
-        most = need if need >= 2 else p
-        if lookahead(live, full & ~blocked & ~live, chosen, most) is None:
-            lookahead_prunes += 1
-            return None
-        masks = 0
         if chosen:
             queries += 1
-            fresh = table.blocked_by(start - 1, chosen) & ~blocked
-            blocked |= fresh
-            if fresh & live:
-                live &= ~fresh
-                masks = full & ~blocked & ~live
-        wide = 2 <= need < p - 1
-        if wide:
-            masks = full & ~blocked
-        must = lookahead(live, masks, chosen, most)
+            blocked |= table.blocked_by(start - 1, chosen)
+        if not need:
+            leaves += 1
+            if blocked == full:
+                return chosen
+            lookahead_prunes += 1
+            return None
+        live = chosen | full >> start << start & ~blocked
+        masks = full & ~blocked if need < p - 1 else full & ~blocked & ~live
+        must = lookahead(live, masks, chosen, need)
         if must is None:
-            if wide:
-                need_prunes += 1
-            else:
-                lookahead_prunes += 1
+            lookahead_prunes += 1
             return None
         free = live & ~chosen & (1 << total - need + 1) - 1
         if must:
@@ -577,19 +554,6 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
             if cut != free:
                 need_prunes += 1
                 free = cut
-        if need == 1:
-            # leaf chosen + m is maximal iff it blocks every other unblocked
-            # mask x, iff m lies in a copy through x with members only
-            tested = free.bit_count()
-            leaves += tested
-            nodes += tested
-            rest = full & ~blocked
-            while rest and free:
-                x = rest & -rest
-                rest ^= x
-                queries += 1
-                free &= table.blocked_by(x.bit_length() - 1, chosen | x) | x
-            lookahead_prunes += tested - free.bit_count()
         while free:
             low = free & -free
             free ^= low
@@ -598,8 +562,6 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
             if not lanes.canonical(m_images, m_marks):
                 symmetry_prunes += 1
                 continue
-            if need == 1:
-                return chosen | low
             found = dfs(m + 1, need - 1, chosen | low, blocked | low, m_images, m_marks)
             if found is not None:
                 return found

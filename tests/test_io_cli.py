@@ -487,3 +487,21 @@ def test_cli_time_limit_env(monkeypatch, capsys):
     assert main(["satstar", "--n", "4", "--poset", "name=N"]) == 4
     out = capsys.readouterr().out
     assert "exact=false" in out
+
+
+def test_cli_bad_time_limit_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    # the environment's limit is read only by satstar: a malformed one is a
+    # usage error there and ignored by every other command
+    monkeypatch.setenv("POSAT_TIME_LIMIT_SECS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["satstar", "--n", "3", "--poset", "name=fork"])
+    assert exc.value.code == 2
+    assert main(["dual", "--poset", "name=fork", "--out", str(tmp_path / "dual.txt")]) == 0
+    monkeypatch.delenv("POSAT_TIME_LIMIT_SECS")
+    for value in ("nan", "inf", "-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["satstar", "--n", "3", "--poset", "name=fork", "--time-limit", value])
+        assert exc.value.code == 2, value
+    assert "finite number of seconds" in capsys.readouterr().err
+    # a limit of 0 is a limit; the certified bounds settle the fork at n = 3
+    assert main(["satstar", "--n", "3", "--poset", "name=fork", "--time-limit", "0"]) == 0

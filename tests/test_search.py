@@ -413,8 +413,10 @@ def open_bounds(n, forbidden):
 
 def test_search_returns_the_brute_lex_first_family_at_n3():
     # the search returns the first maximal free family in (size, lex)
-    # order, with or without the symmetry pruning
-    for P in isomorphism_classes(catalog_small(5)):
+    # order, with or without the symmetry pruning, for the catalog classes
+    # and every poset on 2..4 elements
+    posets = catalog_small(5) + [P for p in range(2, 5) for P in all_posets(p)]
+    for P in isomorphism_classes(posets):
         for Q in (P, dual(P)):
             brute = brute_first_saturated_n3(Q)
             for symmetry in (True, False):
@@ -442,8 +444,9 @@ def test_search_stats_count_the_work():
     assert all(s >= 0 for _, s in st.level_seconds)
     assert st.symmetry_prunes == 0
     assert 1 <= st.leaves <= st.nodes
-    # a prune is a query that found no copy, at a node other than the
-    # witness leaf
+    # a lookahead prune is a node whose query found no copy or a leaf that
+    # is not maximal, so never the witness leaf; each costs a query, the
+    # lookahead's or the leaf's blocked_by
     assert 0 < st.lookahead_prunes < st.nodes
     assert st.lookahead_prunes <= st.queries
     pruned = _deepen(4, [catalog("N")], open_bounds(4, [catalog("N")])).stats
@@ -451,15 +454,17 @@ def test_search_stats_count_the_work():
 
 
 @pytest.mark.parametrize("name, n, tree, witness", [
-    ("diamond", 6, (20_966, 17_330, 9_773), (0, 1, 2, 4, 8, 16, 32)),
-    ("diamond", 5, (1_116, 885, 735), (0, 1, 2, 4, 8, 16)),
-    ("Yinv", 5, (1_839, 1_509, 487), (0, 1, 2, 4, 8, 16, 31)),
-    ("N", 4, (594, 336, 298), (0, 1, 2, 3, 4, 7, 8, 15)),
+    ("diamond", 6, (3_803, 167, 10_093), (0, 1, 2, 4, 8, 16, 32)),
+    ("diamond", 5, (274, 43, 808), (0, 1, 2, 4, 8, 16)),
+    ("Yinv", 5, (330, 0, 487), (0, 1, 2, 4, 8, 16, 31)),
+    ("N", 4, (267, 9, 308), (0, 1, 2, 3, 4, 7, 8, 15)),
 ], ids=["diamond-6", "diamond-5", "Yinv-5", "N-4"])
 def test_the_search_tree_is_pinned(name, n, tree, witness):
-    # the tree a search walks: its nodes, leaves and symmetry prunes; a
-    # change to the lookahead or the blocked sets that keeps the tree keeps
-    # these, while the prunes it counts and its queries may move
+    # the tree a search walks: its nodes (leaves included), its leaves (the
+    # need-0 nodes that the lookahead above them let through, maximal or
+    # not) and its symmetry prunes; a change that keeps the lookahead's
+    # answers keeps these, while its queries and the prunes it counts may
+    # move
     res = exact_sat_star(n, [catalog(name)])
     st = res.stats
     assert res.exact and res.witness.members == witness
@@ -562,8 +567,8 @@ def cube_blocked(forbidden, total, members):
 @pytest.mark.parametrize("n", range(5))
 def test_blocked_by_agrees_with_the_pinned_query(n):
     # m is in blocked_by(c, M) iff m is outside M and M + m has a copy
-    # through c, also when read only on a set ``among`` as the leaf test
-    # does; and the DFS invariant: blocked(M) = blocked(M - c) | blocked_by(c, M)
+    # through c, also when read only on a random set ``among``; and the DFS
+    # invariant: blocked(M) = blocked(M - c) | blocked_by(c, M)
     rng = random.Random(n)
     total = 1 << n
     cube = InclusionRows(range(total))
