@@ -48,7 +48,7 @@ class SearchStats(NamedTuple):
     """The work of one exact search: the DFS nodes visited (leaves
     included), the leaves (nodes with no member left to add, each tested
     for maximality), the children the symmetry lanes pruned, the nodes the
-    lookahead pruned plus the leaves that are not maximal, the copy-table
+    lookahead pruned (leaves that are not maximal included), the copy-table
     queries (``small_copy_through`` calls of the lookahead and one
     ``blocked_by`` call per node with a member), the seconds spent on each
     target size k searched, as (k, seconds) pairs, the distinct forbidden
@@ -196,8 +196,8 @@ class _CopyTable:
     "four Russians" tables of Arlazarov et al., 1970), the 16 rows of a
     chunk built from its four one-mask rows by 11 ANDs.  ``tail[x][c]`` is
     the AND of rows 15 of the chunks from c on: the copies through x that
-    avoid every mask from 4c on; ``tail_one[x][c]`` has those with exactly
-    one mask from 4c on."""
+    avoid every mask from 4c on; ``above_one[x]`` has the copies through x
+    with exactly one mask above x."""
 
     def __init__(self, forbidden, rows: InclusionRows, deadline: float | None):
         """Enumerate the copies on the cube ``rows`` (the cached rows of
@@ -226,7 +226,7 @@ class _CopyTable:
                     through[j].append(bits)
         self.through = through
         self.chunks = (total + 3) >> 2
-        self.keep, self.tail, self.tail_one = [], [], []
+        self.keep, self.tail, self.above_one = [], [], []
         stride = max(total, 8)  # bits per copy in the grid below, whole bytes
         for x, copies in enumerate(through):
             _check_deadline(deadline)
@@ -250,8 +250,14 @@ class _CopyTable:
                 single = (row[7] | row[11] | row[13] | row[14]) & ~row[15]  # one mask of the chunk
                 tail_one.append(tail_one[-1] & row[15] | tail[-1] & single)
                 tail.append(tail[-1] & row[15])
-            self.tail.append(tail[::-1])
-            self.tail_one.append(tail_one[::-1])
+            tail.reverse()
+            self.tail.append(tail)
+            # from the chunk above x's on, then mask by mask down to x + 1
+            k = (x >> 2) + 1
+            zero, one = tail[k], tail_one[-1 - k]
+            for a in avoid[x + 1:4 * k]:
+                zero, one = zero & a, one & a | zero & ~a
+            self.above_one.append(one)
 
     def small_copy_through(self, x: int, within: int, members: int, most: int) -> int:
         """The highest copy through mask x inside the masks set in
@@ -292,47 +298,27 @@ class _CopyTable:
         return 0
 
     def blocked_by(self, c: int, members: int) -> int:
-        """The masks outside ``members``, a free family, each lying in a
-        copy through c whose other masks are all members (c must be a
-        member), as a bitset: the outside masks of the copies through c
-        with exactly one outside mask.  Every mask above the highest member
-        is outside, so the chunks from ``top`` on are one ``tail`` and
-        ``tail_one`` lookup; each chunk below moves a copy from no outside
-        mask to one when it has one outside mask there, and drops the
-        others.  The copies left are read one outside mask at a time, the
-        one of the highest copy, which drops every copy through it."""
-        top = (members.bit_length() + 3) >> 2
-        zero, one = self.tail[c][top], self.tail_one[c][top]
-        out = self.full ^ members
+        """The masks above c, the highest of ``members``, a free family,
+        each lying in a copy through c whose other masks are all members,
+        as a bitset: the copies through c with one mask above c
+        (``above_one``), kept while they avoid every non-member below c, a
+        chunk at a time, and read one blocked mask at a time, the one of the
+        highest copy, which drops every copy through it."""
+        alive = self.above_one[c]
+        out = (self.full ^ members) & (1 << c) - 1
         chunks = self.keep[c]
-        for chunk in chunks if top >= self.chunks else chunks[:top]:
-            v = out & 15
-            z = chunk[v]
-            fresh = zero & ~z
-            if fresh:
-                single = 0
-                for w in _ALL_BUT_ONE[v]:
-                    single |= chunk[w]
-                one = one & z | fresh & single
-                zero ^= fresh
-                if not zero and not one:
-                    return 0
-            else:
-                one &= z
+        for row in chunks[:(c >> 2) + 1]:
+            alive &= row[out & 15]
+            if not alive:
+                return 0
             out >>= 4
         blocked = 0
         through = self.through[c]
-        while one:
-            m = (through[one.bit_length() - 1] & ~members).bit_length() - 1
+        while alive:
+            m = (through[alive.bit_length() - 1] >> c + 1).bit_length() + c
             blocked |= 1 << m
-            one &= chunks[m >> 2][1 << (m & 3)]
+            alive &= chunks[m >> 2][1 << (m & 3)]
         return blocked
-
-
-# per outside pattern v of a chunk: the patterns with one of its set bits
-# cleared, whose rows together hold the copies with at most one outside
-# mask there
-_ALL_BUT_ONE = [tuple(v ^ b for b in (1, 2, 4, 8) if v & b) for v in range(16)]
 
 
 def certified_bounds(n: int, forbidden) -> SatStarResult:
@@ -407,20 +393,20 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     through a mask inside a set of masks with at most a given number of
     masks outside a given family, or none (with no count limit, the answer
     of ``has_pinned_copy`` on the rows of the masks in the set), and
-    ``blocked_by``, the masks that one member blocks together with the
-    others.  Building the table keeps the time limit, and raises TooLarge
-    as soon as the copies hold more than ``SWEEP_CAP`` memberships (N at
-    n = 7 and the diamond at n = 8 do).  A table with no copy settles sat*
-    at 2^n before the first node: 2^[n] is then free, so it is the only
-    maximal family.  The cube's rows and lanes are built once per n (and
-    closure under duals) and shared by every search.
+    ``blocked_by``, the masks above a family's highest member that it blocks
+    together with the others.  Building the table keeps the time limit, and
+    raises TooLarge as soon as the copies hold more than ``SWEEP_CAP``
+    memberships (N at n = 7 and the diamond at n = 8 do).  A table with no
+    copy settles sat* at 2^n before the first node: 2^[n] is then free, so
+    it is the only maximal family.  The cube's rows and lanes are built once
+    per n (and closure under duals) and shared by every search.
 
-    Each node carries its blocked masks exactly: the members plus every
-    mask lying in a copy with members only (adding it would complete that
-    copy).  A child adding m gets those of its parent, m and
-    ``blocked_by(m, ...)``, since a copy completed by the child's mask
-    either avoids m or passes through it.  So the children of a node are
-    the unblocked masks of its candidate range, with no test.  They are
+    Each node carries its blocked masks: the members plus every mask that
+    completes a copy with members below it (adding it would complete that
+    copy).  A child adding m, above every member, gets those of its
+    parent, m and ``blocked_by(m, ...)``.  So from the cursor on the
+    blocked masks are exact, and the children of a node are the unblocked
+    masks of its candidate range, with no test.  They are
     pruned when some transposition of the ground set, or, when every
     forbidden poset's dual is isomorphic to one in the list,
     complementation or complementation after a transposition, maps the
@@ -432,22 +418,22 @@ def exact_sat_star(n: int, forbidden, config: SearchConfig | None = None) -> Sat
     maximal family, is no larger than its image, and so is every prefix
     of it.
 
-    A node with no member left to add is a leaf, maximal iff it blocks every
-    mask.  Any other node runs the lookahead before its children.  Its live
-    masks are the members plus every unblocked mask at or above the cursor;
-    its leaves are chosen | R with R a set of ``need`` live masks.  In a
-    maximal leaf every unblocked non-member x outside R is blocked by a copy
-    through x whose other masks lie in chosen | R: a copy inside the live
-    masks plus x with at most ``need`` masks outside the members and x, a
-    small live copy.  So a dead x (unblocked, below the cursor, never in R)
-    with no small live copy prunes the node, and a live x with none must be
-    in R: more than ``need`` such x prune the node, and otherwise the next
-    member, the lowest of R, lies at or below the lowest of them, so the
-    children above it go.  Only subtrees with no maximal leaf go, so the
-    witness and the bounds stay the same.  Every unblocked mask is tested
-    below need = p - 1, p the largest forbidden size, and only the dead ones
-    from there on (every copy through x is small there; testing the live
-    masks too is sound, and was measured slower).  The query is
+    Every node runs the lookahead before its children, a leaf (a node with
+    no member left to add) included.  Its live masks are the members plus
+    every unblocked mask at or above the cursor; its leaves are chosen | R
+    with R a set of ``need`` live masks.  In a maximal leaf every non-member
+    x outside R is blocked by a copy through x whose other masks lie in
+    chosen | R: a copy inside the live masks plus x with at most ``need``
+    masks outside the members and x, a small live copy.  So every unblocked
+    non-member x is asked for one: a dead x (below the cursor, never in R)
+    with none prunes the node, and a live x with none must be in R: more
+    than ``need`` such x prune the node, and otherwise the next member, the
+    lowest of R, lies at or below the lowest of them, so the children above
+    it go.  A mask below the cursor that completes a copy with members only,
+    one of them above it, is left out of the blocked masks and so asked
+    too, but that copy is a small live copy, so it never prunes.  At need =
+    0 the test is maximality itself.  Only subtrees with no maximal leaf go,
+    so the witness and the bounds stay the same.  The query is
     ``small_copy_through`` on the live masks plus x, and each mask watches
     the targets of the copy last found through it (the two-watched-literal
     idea of Moskewicz et al., "Chaff", DAC 2001): it is queried again only
@@ -493,10 +479,6 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
     # initial bit lies outside the cube, so it is never live and the first
     # test queries
     watch = [1 << total] * total
-    # a copy has at most p - 1 masks besides x, so from need = p - 1 on
-    # every copy through x is small, and the lookahead asks only the dead
-    # masks (see exact_sat_star)
-    p = max(P.size for P in forbidden)
     nodes = leaves = symmetry_prunes = lookahead_prunes = queries = need_prunes = 0
     build_seconds = 0.0
 
@@ -529,25 +511,24 @@ def _deepen(n: int, forbidden, bounds: SatStarResult, config=None, symmetry=True
         """The lex-first maximal free family of ``need`` more members above
         ``start`` extending ``chosen`` (itself, at need = 0, iff maximal),
         as a bitset of masks, or None; ``blocked`` is the members plus every
-        mask the members below the highest one, start - 1, block."""
+        mask that completes a copy with members below it, save those above
+        the highest member, start - 1, that it blocks."""
         nonlocal nodes, leaves, symmetry_prunes, lookahead_prunes, queries, need_prunes
         _check_deadline(deadline)
         nodes += 1
         if chosen:
             queries += 1
             blocked |= table.blocked_by(start - 1, chosen)
-        if not need:
-            leaves += 1
-            if blocked == full:
-                return chosen
-            lookahead_prunes += 1
-            return None
+        # a leaf passes the lookahead iff every unblocked non-member lies in
+        # a copy with members only, that is iff it is maximal
+        leaves += not need
         live = chosen | full >> start << start & ~blocked
-        masks = full & ~blocked if need < p - 1 else full & ~blocked & ~live
-        must = lookahead(live, masks, chosen, need)
+        must = lookahead(live, full & ~blocked, chosen, need)
         if must is None:
             lookahead_prunes += 1
             return None
+        if not need:
+            return chosen
         free = live & ~chosen & (1 << total - need + 1) - 1
         if must:
             cut = free & ((must & -must) << 1) - 1
